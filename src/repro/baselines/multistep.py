@@ -61,7 +61,6 @@ def multistep_scc(
     serial_cutoff: int = 256,
     force_spark: bool = False,
     spark_threshold: int = 1 << 30,
-    npartitions: int = 8,
     time_budget_s: float | None = None,
     counters: Counters | None = None,
 ) -> SCCResult:
@@ -75,7 +74,6 @@ def multistep_scc(
         csr_t=csr_t,
         force_spark=force_spark,
         spark_threshold=spark_threshold,
-        npartitions=npartitions,
         time_budget_s=time_budget_s,
     )
     try:

@@ -83,7 +83,6 @@ def ldd_uf_jtb(
     seed: int = 42,
     force_spark: bool = False,
     spark_threshold: int = 1 << 30,
-    npartitions: int = 8,
     time_budget_s: float | None = None,
     counters: Counters | None = None,
 ) -> CCResult:
@@ -102,7 +101,6 @@ def ldd_uf_jtb(
         csr_t=csr,  # symmetric: G == G^T
         force_spark=force_spark,
         spark_threshold=spark_threshold,
-        npartitions=npartitions,
         time_budget_s=time_budget_s,
     )
     try:

@@ -88,4 +88,6 @@ class GraphBroadcast:
         return (self.csr.indptr, self.csr.indices, self.csr_t.indptr, self.csr_t.indices)
 
     def destroy(self) -> None:
-        self._bc.unpersist()
+        """Drop the executors' copies and unlink the driver's pickle file
+        in the SparkContext temp dir (``unpersist`` alone leaves it)."""
+        self._bc.destroy()

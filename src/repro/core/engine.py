@@ -4,11 +4,14 @@ The engine takes a frontier as a pandas DataFrame, runs a kernel from
 ``repro.core.kernels`` over it, and returns the candidate rows.  Two
 execution paths produce *identical* results:
 
-- **Spark path** — the frontier becomes a DataFrame, is repartitioned
-  across executors, and the kernel runs inside ``mapInPandas`` with the
-  graph read from a broadcast variable.  Launching this job is the
-  analogue of the paper's fork-join round: a real global synchronization
-  whose fixed overhead is what VGC amortizes.
+- **Spark path** — the frontier becomes a DataFrame whose local scan is
+  split into contiguous slices, at most ``npartitions`` of them, and the
+  kernel runs inside ``mapInPandas`` with the graph read from a broadcast
+  variable.  ``createDataFrame → coalesce → mapInPandas → toPandas`` is
+  one Spark job with one stage: no shuffle, so one round is exactly one
+  barrier, the analogue of the paper's fork-join round whose fixed
+  overhead is what VGC amortizes.  Each job is described as
+  ``<kernel>/r<round>`` in the Spark UI and event log.
 - **Driver path** — the kernel is called directly.  This is ordinary
   horizontal granularity control (don't distribute tiny work) and is used
   by unit tests; **benchmarks force the Spark path for every algorithm**
@@ -92,14 +95,9 @@ def _make_mapper(bc_handle, kernel, params):
 
     def mapper(batches):
         g = bc_handle.value
-        got_any = False
         for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            got_any = True
-            yield kernel(pdf, g, params)
-        if not got_any:
-            return
+            if len(pdf) > 0:
+                yield kernel(pdf, g, params)
 
     return mapper
 
@@ -157,15 +155,21 @@ class Engine:
             self.force_spark or len(pdf_in) >= self.spark_threshold
         )
         if use_spark:
-            df = self.spark.createDataFrame(pdf_in, schema=IN_SCHEMAS[kernel_name])
-            out = (
-                df.repartition(min(self.npartitions, max(1, len(pdf_in))))
-                .mapInPandas(
-                    _make_mapper(self.gb.handle, kernel, params),
-                    schema=SCHEMAS[kernel_name],
+            sc = self.spark.sparkContext
+            prev = sc.getLocalProperty("spark.job.description")
+            sc.setJobDescription(f"{kernel_name}/r{self.counters.rounds}")
+            try:
+                out = (
+                    self.spark.createDataFrame(pdf_in, schema=IN_SCHEMAS[kernel_name])
+                    .coalesce(self.npartitions)
+                    .mapInPandas(
+                        _make_mapper(self.gb.handle, kernel, params),
+                        schema=SCHEMAS[kernel_name],
+                    )
+                    .toPandas()
                 )
-                .toPandas()
-            )
+            finally:
+                sc.setJobDescription(prev)
         else:
             out = kernel(pdf_in, self._local_g, params)
         sent = out["v"] == SENTINEL

@@ -50,7 +50,6 @@ def le_lists(
     seed: int = 42,
     force_spark: bool = False,
     spark_threshold: int = 1 << 30,
-    npartitions: int = 8,
     time_budget_s: float | None = None,
     counters: Counters | None = None,
 ) -> LEListsResult:
@@ -63,7 +62,6 @@ def le_lists(
         counters,
         force_spark=force_spark,
         spark_threshold=spark_threshold,
-        npartitions=npartitions,
         time_budget_s=time_budget_s,
     )
     try:

@@ -87,6 +87,17 @@ def test_baselines_random(seed, algo):
     assert same_partition(r.labels, t_lab)
 
 
+@pytest.mark.spark
+@pytest.mark.parametrize("name", ["two_cliques_bridge", "rmat"])
+def test_multistep_forced_spark_matches_tarjan(spark, name):
+    """Reach and ``color_max`` rounds run as Spark jobs; ``serial_cutoff=0``
+    keeps Tarjan from finishing the graph before the coloring loop."""
+    c = zoo()[name]
+    t_lab, _ = tarjan_scc(c)
+    r = multistep_scc(spark, c, serial_cutoff=0, force_spark=True, spark_threshold=0)
+    assert same_partition(r.labels, t_lab)
+
+
 def test_multistep_counts_rounds_on_large_diameter():
     c = zoo()["lattice"]
     r = multistep_scc(None, c, serial_cutoff=4)

@@ -136,6 +136,18 @@ def test_connectivity_spark_path(spark):
 
 
 @pytest.mark.spark
+@pytest.mark.parametrize("name", ["lattice_sparse", "rmat"])
+def test_connectivity_forced_spark_matches_oracle(spark, name):
+    """Every ``ldd_reach`` round runs as a Spark job, with the frontier
+    split over tasks that each see only their own writes."""
+    c = zoo_sym()[name]
+    src = np.repeat(np.arange(c.n, dtype=np.int64), np.diff(c.indptr))
+    truth = seq_cc(c.n, src, c.indices)
+    r = ldd_uf_jtb(spark, csr=c, variant="ours", seed=0, force_spark=True, spark_threshold=0)
+    assert same_partition(r.labels, truth)
+
+
+@pytest.mark.spark
 def test_cross_cluster_edges_df_oracle(spark):
     g = np.random.default_rng(8)
     n = 30

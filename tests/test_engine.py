@@ -1,5 +1,7 @@
 """Engine tests: driver path vs forced-Spark path produce identical
 results; rounds and visit counters are accounted on both paths."""
+import os
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,43 @@ def test_reach_spark_full_graph(spark):
     b = single_reach(e2, np.array([0]), tau=16)
     assert np.array_equal(a.visited, b.visited)
     e2.close()
+
+
+@pytest.mark.spark
+def test_spark_round_is_one_job_one_stage(spark):
+    """One round is one barrier: the Spark path runs a single job with a
+    single stage (no shuffle), described as ``<kernel>/r<round>``."""
+    sc = spark.sparkContext
+    c = zoo()["lattice"]
+    eng = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0)
+    params = {
+        "direction": "fwd",
+        "visited": np.zeros(c.n, dtype=bool),
+        "tau": 1,
+        "two_pass": False,
+    }
+    group = "test-one-job-per-round"
+    sc.setJobGroup(group, "one round")
+    try:
+        eng.round("sparse_reach", frontier_pdf(np.arange(64)), params)
+        assert sc.getLocalProperty("spark.job.description") == "one round"
+    finally:
+        sc._jsc.clearJobGroup()
+        eng.close()
+    sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events reach the status store
+    tracker = sc.statusTracker()
+    jobs = tracker.getJobIdsForGroup(group)
+    assert len(jobs) == 1
+    assert len(tracker.getJobInfo(jobs[0]).stageIds) == 1
+    desc = sc._jsc.sc().statusStore().job(jobs[0]).description()
+    assert desc.isDefined() and desc.get() == "sparse_reach/r1"
+
+
+@pytest.mark.spark
+def test_engine_close_unlinks_broadcast_file(spark):
+    """Closing an engine removes its graph broadcast's pickle file from
+    the SparkContext temp dir."""
+    tmp = spark.sparkContext._temp_dir
+    before = len(os.listdir(tmp))
+    Engine(spark, zoo()["web"], Counters(), force_spark=True).close()
+    assert len(os.listdir(tmp)) == before
