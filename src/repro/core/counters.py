@@ -32,12 +32,11 @@ class Counters:
 
     rounds: int = 0  # global barriers (Spark jobs over a frontier)
     edge_visits: int = 0  # neighbor inspections, incl. failed + revisit pass
-    dense_rounds: int = 0
     pair_inserts: int = 0
     table_rehash_cost: int = 0  # slots touched by pair-table rebuilds
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    # (rounds without VGC, rounds with VGC) per reachability search --
-    # the Fig. 10 data points.
+    # Rounds of each reachability search, in run order -- the Fig. 10
+    # data points.
     search_rounds: list[int] = field(default_factory=list)
 
     def add_phase(self, name: str, seconds: float) -> None:
@@ -46,7 +45,6 @@ class Counters:
     def merge(self, other: "Counters") -> None:
         self.rounds += other.rounds
         self.edge_visits += other.edge_visits
-        self.dense_rounds += other.dense_rounds
         self.pair_inserts += other.pair_inserts
         self.table_rehash_cost += other.table_rehash_cost
         for k, v in other.phase_seconds.items():

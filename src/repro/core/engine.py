@@ -30,64 +30,22 @@ from repro.core.counters import Counters
 from repro.core.csr import CSR, GraphBroadcast
 from repro.core.kernels import KERNELS, SENTINEL
 
-_LONG = T.LongType()
-_BOOL = T.BooleanType()
-
-SCHEMAS = {
-    "sparse_reach": T.StructType(
-        [
-            T.StructField("v", _LONG),
-            T.StructField("explored", _BOOL),
-            T.StructField("visits", _LONG),
-        ]
-    ),
-    "dense_reach": T.StructType(
-        [
-            T.StructField("v", _LONG),
-            T.StructField("explored", _BOOL),
-            T.StructField("visits", _LONG),
-        ]
-    ),
-    "multi_reach": T.StructType(
-        [
-            T.StructField("v", _LONG),
-            T.StructField("s", _LONG),
-            T.StructField("explored", _BOOL),
-            T.StructField("visits", _LONG),
-        ]
-    ),
-    "ldd_reach": T.StructType(
-        [
-            T.StructField("v", _LONG),
-            T.StructField("lab", _LONG),
-            T.StructField("explored", _BOOL),
-            T.StructField("visits", _LONG),
-        ]
-    ),
-    "lelists_round": T.StructType(
-        [
-            T.StructField("v", _LONG),
-            T.StructField("s", _LONG),
-            T.StructField("visits", _LONG),
-        ]
-    ),
-    "color_max": T.StructType(
-        [
-            T.StructField("v", _LONG),
-            T.StructField("lab", _LONG),
-            T.StructField("visits", _LONG),
-        ]
-    ),
+# kernel -> (frontier columns, candidate columns).  Every column is a long
+# except ``explored``; every kernel output also ends in ``visits``.
+COLUMNS = {
+    "sparse_reach": (("v",), ("v", "explored")),
+    "dense_reach": (("v",), ("v", "explored")),
+    "multi_reach": (("v", "s"), ("v", "s", "explored")),
+    "ldd_reach": (("v", "lab"), ("v", "lab", "explored")),
+    "lelists_round": (("v", "s"), ("v", "s")),
+    "color_max": (("v",), ("v", "lab")),
 }
 
-IN_SCHEMAS = {
-    "sparse_reach": T.StructType([T.StructField("v", _LONG)]),
-    "dense_reach": T.StructType([T.StructField("v", _LONG)]),
-    "multi_reach": T.StructType([T.StructField("v", _LONG), T.StructField("s", _LONG)]),
-    "ldd_reach": T.StructType([T.StructField("v", _LONG), T.StructField("lab", _LONG)]),
-    "lelists_round": T.StructType([T.StructField("v", _LONG), T.StructField("s", _LONG)]),
-    "color_max": T.StructType([T.StructField("v", _LONG)]),
-}
+
+def _schema(cols) -> T.StructType:
+    return T.StructType(
+        [T.StructField(c, T.BooleanType() if c == "explored" else T.LongType()) for c in cols]
+    )
 
 
 def _make_mapper(bc_handle, kernel, params):
@@ -155,16 +113,17 @@ class Engine:
             self.force_spark or len(pdf_in) >= self.spark_threshold
         )
         if use_spark:
+            in_cols, out_cols = COLUMNS[kernel_name]
             sc = self.spark.sparkContext
             prev = sc.getLocalProperty("spark.job.description")
             sc.setJobDescription(f"{kernel_name}/r{self.counters.rounds}")
             try:
                 out = (
-                    self.spark.createDataFrame(pdf_in, schema=IN_SCHEMAS[kernel_name])
+                    self.spark.createDataFrame(pdf_in, schema=_schema(in_cols))
                     .coalesce(self.npartitions)
                     .mapInPandas(
                         _make_mapper(self.gb.handle, kernel, params),
-                        schema=SCHEMAS[kernel_name],
+                        schema=_schema(out_cols + ("visits",)),
                     )
                     .toPandas()
                 )

@@ -9,8 +9,10 @@ pdf_out`` over numpy/pandas data.  The same function runs in two places:
   in the task closure.  One executor task == one "processor" of the
   paper; one engine round == one global barrier.
 
-The central kernel is :func:`k_sparse_reach`, implementing the paper's
-tau-bounded *local search* (Sec. 3.1-3.2, Fig. 4):
+The central routine is :func:`local_search`, the paper's tau-bounded
+*local search* (Sec. 3.1-3.2, Fig. 4), shared by single-reachability
+(:func:`k_sparse_reach`), multi-reachability (:func:`k_multi_reach`,
+Sec. 4.3) and LDD (:func:`k_ldd_reach`, Sec. 5.1):
 
 - a frontier vertex with out-degree > tau processes all its neighbors the
   standard (one-hop) way — there is already enough work;
@@ -19,10 +21,12 @@ tau-bounded *local search* (Sec. 3.1-3.2, Fig. 4):
   fully-expanded vertices are *not* re-queued, while the unexpanded
   remainder of the local queue is handed back as next-round frontier.
 
-``tau=1`` degenerates to plain one-hop BFS (the paper's "plain"/GBBS
-setting); ``two_pass=True`` re-scans the frontier's edges a second time,
-reproducing the Ligra/GBBS *edge-revisit* scheme that the parallel hash
-bag removes.  Discovered vertices are collected through a real
+The kernels differ only in their ``admit(x, u)`` test — may edge (x, u)
+add u to the search? — and in the rows they emit.  ``tau=1`` degenerates
+to plain one-hop BFS (the paper's "plain"/GBBS setting); ``two_pass=True``
+re-scans the frontier's edges a second time, reproducing the Ligra/GBBS
+*edge-revisit* scheme that the parallel hash bag removes.  Single- and
+dense reachability collect discovered vertices through a real
 :class:`~repro.core.hashbag.HashBag` instance, so the bag sits on the hot
 path exactly where the paper puts it.
 
@@ -31,6 +35,8 @@ whose ``visits`` column carries the task's edge-visit count (all other
 rows have ``visits == 0``).
 """
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 import pandas as pd
@@ -41,19 +47,56 @@ from repro.core.pairtable import contains_static
 SENTINEL = -1
 
 
-def _emit(bag: HashBag, explored: set, visits: int, extra: dict | None = None) -> pd.DataFrame:
-    vs = bag.extract_all()
-    flags = np.fromiter((v in explored for v in vs), dtype=bool, count=len(vs))
-    out = pd.DataFrame({"v": vs.astype(np.int64), "explored": flags})
-    if extra:
-        for k, arr in extra.items():
-            out[k] = arr
-    sent = {"v": [SENTINEL], "explored": [False], "visits": [visits]}
-    if extra:
-        for k in extra:
-            sent[k] = [0]
-    out["visits"] = np.zeros(len(out), dtype=np.int64)
-    return pd.concat([out, pd.DataFrame(sent)], ignore_index=True)
+def local_search(
+    ip, ix, v: int, tau: int, admit: Callable[[int, int], bool]
+) -> tuple[list[int], int, int]:
+    """Tau-bounded local search from ``v`` over the CSR ``(ip, ix)``.
+
+    ``admit(x, u)`` decides whether edge (x, u) adds u to the search and
+    records u if so.  Returns ``(queue, qi, visits)``: ``queue[:qi]`` were
+    fully expanded; ``queue[qi:]`` go to the next round, including ``v``
+    when its own expansion was cut.  A vertex with out-degree > tau
+    expands one hop and returns ``([v] + admitted, 1, deg)``.
+    """
+    lo, hi = int(ip[v]), int(ip[v + 1])
+    if hi - lo > tau:
+        # Standard one-hop processing: enough work already (Sec. 3.2).
+        return [v] + [u for u in ix[lo:hi].tolist() if admit(v, u)], 1, hi - lo
+    queue = [v]
+    qi = 0
+    t = 0
+    while qi < len(queue):
+        x = queue[qi]
+        lo, hi = int(ip[x]), int(ip[x + 1])
+        cut = False
+        for j, u in enumerate(ix[lo:hi].tolist()):
+            t += 1
+            if admit(x, u):
+                queue.append(u)
+            if t >= tau and j != hi - lo - 1:
+                cut = True  # x only partially expanded
+                break
+        if not cut:
+            qi += 1
+        if t >= tau:
+            break
+    return queue, qi, t
+
+
+def _revisits(ip, vs: np.ndarray) -> int:
+    """Edge-revisit second pass: one more scan of every edge incident to
+    the frontier (the "output" pass of Ligra/GBBS).  Work only."""
+    return int((ip[vs + 1] - ip[vs]).sum())
+
+
+def _frame(cols: dict[str, np.ndarray], visits: int) -> pd.DataFrame:
+    """Candidate columns (``v`` first) plus a ``visits`` column and the
+    sentinel row carrying the task's edge-visit count."""
+    out = {k: np.concatenate([a, np.zeros(1, a.dtype)]) for k, a in cols.items()}
+    out["v"][-1] = SENTINEL
+    out["visits"] = np.zeros(len(out["v"]), dtype=np.int64)
+    out["visits"][-1] = visits
+    return pd.DataFrame(out)
 
 
 def k_sparse_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
@@ -69,82 +112,43 @@ def k_sparse_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     finished = p.get("finished")
     restrict = p.get("restrict")
     tau = int(p["tau"])
-    n = len(visited)
     sources = pdf["v"].to_numpy(dtype=np.int64)
-    bag = HashBag(max(1, n), seed=0)
+    bag = HashBag(max(1, len(visited)), seed=0)
     seen: set[int] = set()  # task-local "my writes" view of visit[]
     explored: set[int] = set()
     requeue: list[int] = []  # partially-expanded, already-visited vertices
     visits = 0
 
-    def blocked(x: int, u: int) -> bool:
+    def admit(x: int, u: int) -> bool:
+        if visited[u] or u in seen:
+            return False
         if finished is not None and finished[u]:
-            return True
+            return False
         if restrict is not None and restrict[u] != restrict[x]:
-            return True
-        return False
+            return False
+        seen.add(u)
+        bag.insert(u)
+        return True
 
     for v in sources.tolist():
-        deg = int(ip[v + 1] - ip[v])
-        if deg > tau:
-            # Standard one-hop processing: enough work already (Sec. 3.2).
-            for u in ix[ip[v] : ip[v + 1]].tolist():
-                visits += 1
-                if not blocked(v, u) and not visited[u] and u not in seen:
-                    seen.add(u)
-                    bag.insert(u)
-            explored.add(v)
-            continue
-        # Local search: sequential BFS from v, budget tau neighbor visits.
-        queue: list[int] = [v]
-        qi = 0
-        t = 0
-        while qi < len(queue):
-            x = queue[qi]
-            lo, hi = int(ip[x]), int(ip[x + 1])
-            cut = False
-            for j, u in enumerate(ix[lo:hi].tolist()):
-                t += 1
-                visits += 1
-                if not blocked(x, u) and not visited[u] and u not in seen:
-                    seen.add(u)
-                    bag.insert(u)
-                    queue.append(u)
-                if t >= tau and j != hi - lo - 1:
-                    cut = True  # x only partially expanded
-                    break
-            if not cut:
-                qi += 1
-                explored.add(x)
-            if t >= tau:
-                break
-        # queue[qi:] holds unexpanded vertices -> next frontier.  Vertices
-        # that were already visited before this round (x partially
-        # expanded, incl. possibly v itself) must be re-queued explicitly
-        # because they are not in the bag.
-        for x in queue[qi:]:
-            if visited[x]:
-                requeue.append(x)
-        explored -= set(queue[qi:])
-
-    out = _emit(bag, explored, visits)
-    if requeue:
-        rq = pd.DataFrame(
-            {
-                "v": np.asarray(requeue, dtype=np.int64),
-                "explored": np.zeros(len(requeue), dtype=bool),
-                "visits": np.zeros(len(requeue), dtype=np.int64),
-            }
-        )
-        out = pd.concat([out, rq], ignore_index=True)
+        queue, qi, t = local_search(ip, ix, v, tau, admit)
+        visits += t
+        explored.update(queue[:qi])
+        explored.difference_update(queue[qi:])
+        # Vertices visited before this round (v itself, if cut) are not in
+        # the bag, so they are re-queued explicitly.
+        requeue += [x for x in queue[qi:] if visited[x]]
     if p.get("two_pass"):
-        # Edge-revisit second pass: re-scan every edge incident to the
-        # frontier (the "output" pass of Ligra/GBBS).  Work only.
-        second = 0
-        for v in sources.tolist():
-            second += int(ip[v + 1] - ip[v])
-        out.loc[out["v"] == SENTINEL, "visits"] += second
-    return out
+        visits += _revisits(ip, sources)
+    vs = bag.extract_all().astype(np.int64)
+    flags = np.fromiter((u in explored for u in vs), dtype=bool, count=len(vs))
+    return _frame(
+        {
+            "v": np.concatenate([vs, np.asarray(requeue, dtype=np.int64)]),
+            "explored": np.concatenate([flags, np.zeros(len(requeue), dtype=bool)]),
+        },
+        visits,
+    )
 
 
 def k_dense_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
@@ -162,8 +166,7 @@ def k_dense_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     finished = p.get("finished")
     restrict = p.get("restrict")
     cand = pdf["v"].to_numpy(dtype=np.int64)
-    n = len(in_frontier)
-    bag = HashBag(max(1, n), seed=0)
+    bag = HashBag(max(1, len(in_frontier)), seed=0)
     visits = 0
     for u in cand.tolist():
         if finished is not None and finished[u]:
@@ -175,7 +178,8 @@ def k_dense_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
             if in_frontier[w]:
                 bag.insert(u)
                 break  # early exit: skip the rest of u's edges
-    return _emit(bag, set(), visits)
+    vs = bag.extract_all().astype(np.int64)
+    return _frame({"v": vs, "explored": np.zeros(len(vs), dtype=bool)}, visits)
 
 
 def k_multi_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
@@ -202,68 +206,33 @@ def k_multi_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     out_e: list[bool] = []
     visits = 0
 
+    def admit(x: int, u: int) -> bool:
+        if finished[u] or labels[u] != labels[x]:
+            return False
+        if (u, s) in seen or contains_static(keys, u, s, n):
+            return False
+        seen.add((u, s))
+        return True
+
     for v, s in zip(vs.tolist(), ss.tolist()):
-        deg = int(ip[v + 1] - ip[v])
-
-        def try_visit(x: int, u: int) -> bool:
-            if finished[u] or labels[u] != labels[x]:
-                return False
-            if (u, s) in seen or contains_static(keys, u, s, n):
-                return False
-            seen.add((u, s))
-            return True
-
-        if deg > tau:
-            for u in ix[ip[v] : ip[v + 1]].tolist():
-                visits += 1
-                if try_visit(v, u):
-                    out_v.append(u)
-                    out_s.append(s)
-                    out_e.append(False)
-            continue
-        queue = [v]
-        qi = 0
-        t = 0
-        explored_here: set[int] = set()
-        while qi < len(queue):
-            x = queue[qi]
-            lo, hi = int(ip[x]), int(ip[x + 1])
-            cut = False
-            for j, u in enumerate(ix[lo:hi].tolist()):
-                t += 1
-                visits += 1
-                if try_visit(x, u):
-                    queue.append(u)
-                if t >= tau and j != hi - lo - 1:
-                    cut = True
-                    break
-            if not cut:
-                explored_here.add(x)
-                qi += 1
-            if t >= tau:
-                break
-        for u in queue[1:]:
-            out_v.append(u)
-            out_s.append(s)
-            out_e.append(u in explored_here)
-        # Partially-expanded pair (v, s) itself must continue next round.
-        if v not in explored_here:
-            out_v.append(v)
-            out_s.append(s)
-            out_e.append(False)
+        queue, qi, t = local_search(ip, ix, v, tau, admit)
+        visits += t
+        done = set(queue[:qi])
+        # A partially-expanded pair (v, s) itself must continue next round.
+        rows = queue[1:] if v in done else queue[1:] + [v]
+        out_v += rows
+        out_s += [s] * len(rows)
+        out_e += [u in done for u in rows]
     if p.get("two_pass"):
-        for v in vs.tolist():
-            visits += int(ip[v + 1] - ip[v])
-    out = pd.DataFrame(
+        visits += _revisits(ip, vs)
+    return _frame(
         {
             "v": np.asarray(out_v, dtype=np.int64),
             "s": np.asarray(out_s, dtype=np.int64),
             "explored": np.asarray(out_e, dtype=bool),
-            "visits": np.zeros(len(out_v), dtype=np.int64),
-        }
+        },
+        visits,
     )
-    sent = pd.DataFrame({"v": [SENTINEL], "s": [0], "explored": [False], "visits": [visits]})
-    return pd.concat([out, sent], ignore_index=True)
 
 
 def k_ldd_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
@@ -272,10 +241,11 @@ def k_ldd_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     Input rows (v, lab): frontier vertex carrying its cluster label.
     params: visited (bool[n] snapshot), tau, two_pass.
     Candidates (u, lab, explored); the driver resolves label races by
-    minimum source priority (deterministic stand-in for first-CAS-wins).
+    minimum source priority (deterministic stand-in for first-CAS-wins)
+    with a stable sort, so the row order is part of the result: ``seen``
+    in insertion order, then the requeued rows.
     """
-    indptr, indices, _, _ = g
-    ip, ix = indptr, indices
+    ip, ix, _, _ = g
     visited = p["visited"]
     tau = int(p["tau"])
     vs = pdf["v"].to_numpy(dtype=np.int64)
@@ -284,56 +254,31 @@ def k_ldd_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     explored: set[int] = set()
     requeue: list[tuple[int, int]] = []
     visits = 0
+
+    def admit(x: int, u: int) -> bool:
+        if visited[u] or u in seen:
+            return False
+        seen[u] = lab
+        return True
+
     for v, lab in zip(vs.tolist(), labs.tolist()):
-        deg = int(ip[v + 1] - ip[v])
-        if deg > tau:
-            for u in ix[ip[v] : ip[v + 1]].tolist():
-                visits += 1
-                if not visited[u] and u not in seen:
-                    seen[u] = lab
-            explored.add(v)
-            continue
-        queue = [v]
-        qi = 0
-        t = 0
-        while qi < len(queue):
-            x = queue[qi]
-            lo, hi = int(ip[x]), int(ip[x + 1])
-            cut = False
-            for j, u in enumerate(ix[lo:hi].tolist()):
-                t += 1
-                visits += 1
-                if not visited[u] and u not in seen:
-                    seen[u] = lab
-                    queue.append(u)
-                if t >= tau and j != hi - lo - 1:
-                    cut = True
-                    break
-            if not cut:
-                qi += 1
-                explored.add(x)
-            if t >= tau:
-                break
-        for x in queue[qi:]:
-            if visited[x]:
-                requeue.append((x, lab))
-        explored -= set(queue[qi:])
+        queue, qi, t = local_search(ip, ix, v, tau, admit)
+        visits += t
+        explored.update(queue[:qi])
+        explored.difference_update(queue[qi:])
+        requeue += [(x, lab) for x in queue[qi:] if visited[x]]
     if p.get("two_pass"):
-        for v in vs.tolist():
-            visits += int(ip[v + 1] - ip[v])
-    rows_v = list(seen.keys()) + [x for x, _ in requeue]
-    rows_l = [seen[u] for u in seen] + [l for _, l in requeue]
-    rows_e = [u in explored for u in seen] + [False] * len(requeue)
-    out = pd.DataFrame(
+        visits += _revisits(ip, vs)
+    return _frame(
         {
-            "v": np.asarray(rows_v, dtype=np.int64),
-            "lab": np.asarray(rows_l, dtype=np.int64),
-            "explored": np.asarray(rows_e, dtype=bool),
-            "visits": np.zeros(len(rows_v), dtype=np.int64),
-        }
+            "v": np.asarray(list(seen) + [x for x, _ in requeue], dtype=np.int64),
+            "lab": np.asarray(list(seen.values()) + [l for _, l in requeue], dtype=np.int64),
+            "explored": np.asarray(
+                [u in explored for u in seen] + [False] * len(requeue), dtype=bool
+            ),
+        },
+        visits,
     )
-    sent = pd.DataFrame({"v": [SENTINEL], "lab": [0], "explored": [False], "visits": [visits]})
-    return pd.concat([out, sent], ignore_index=True)
 
 
 def k_lelists_round(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
@@ -345,8 +290,7 @@ def k_lelists_round(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     two_pass.  A pair (u, s) is a candidate iff d+1 < delta[u] and (u, s)
     is not already in the pair table.
     """
-    indptr, indices, _, _ = g
-    ip, ix = indptr, indices
+    ip, ix, _, _ = g
     delta = p["delta"]
     d1 = int(p["d"]) + 1
     keys = p["table_keys"]
@@ -368,17 +312,11 @@ def k_lelists_round(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
             out_v.append(u)
             out_s.append(s)
     if p.get("two_pass"):
-        for v in vs.tolist():
-            visits += int(ip[v + 1] - ip[v])
-    out = pd.DataFrame(
-        {
-            "v": np.asarray(out_v, dtype=np.int64),
-            "s": np.asarray(out_s, dtype=np.int64),
-            "visits": np.zeros(len(out_v), dtype=np.int64),
-        }
+        visits += _revisits(ip, vs)
+    return _frame(
+        {"v": np.asarray(out_v, dtype=np.int64), "s": np.asarray(out_s, dtype=np.int64)},
+        visits,
     )
-    sent = pd.DataFrame({"v": [SENTINEL], "s": [0], "visits": [visits]})
-    return pd.concat([out, sent], ignore_index=True)
 
 
 def k_color_max(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
@@ -400,15 +338,13 @@ def k_color_max(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
             visits += 1
             if active[u] and colors[u] < cv and best.get(u, -1) < cv:
                 best[u] = cv
-    out = pd.DataFrame(
+    return _frame(
         {
             "v": np.fromiter(best.keys(), dtype=np.int64, count=len(best)),
             "lab": np.fromiter(best.values(), dtype=np.int64, count=len(best)),
-            "visits": np.zeros(len(best), dtype=np.int64),
-        }
+        },
+        visits,
     )
-    sent = pd.DataFrame({"v": [SENTINEL], "lab": [0], "visits": [visits]})
-    return pd.concat([out, sent], ignore_index=True)
 
 
 KERNELS = {

@@ -12,14 +12,9 @@ sets L_out (s reaches v) and L_in (v reaches s):
   with different labels, and later searches skip the cross edges between
   them.
 
-Two implementations produce the same partition refinement:
-
-- :func:`label_batch` — pandas, driver-side, used by the SCC engine
-  (signature = blake2b, forced negative so it can never collide with a
-  finished label, which is a vertex id >= 0);
-- :func:`label_batch_df` — Spark DataFrame/Catalyst (joins + collect_set +
-  xxhash64), oracle-tested against DuckDB SQL and asserted
-  partition-equivalent to the pandas path in tests.
+:func:`label_batch` is the one implementation: pandas, driver-side, used
+by the SCC engine.  A signature is a blake2b hash forced negative, so it
+can never collide with a finished label, which is a vertex id >= 0.
 """
 from __future__ import annotations
 
@@ -27,8 +22,6 @@ import hashlib
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 
 def _sig_hash(old_label: int, r_in: tuple, r_out: tuple) -> int:
@@ -63,60 +56,3 @@ def label_batch(
                 labels[v], sig_in.get(v, ()), sig_out.get(v, ())
             )
     return n_new
-
-
-def label_batch_df(
-    spark: SparkSession,
-    pairs_in: tuple[np.ndarray, np.ndarray],
-    pairs_out: tuple[np.ndarray, np.ndarray],
-    labels: np.ndarray,
-    finished: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Catalyst implementation; returns updated (labels, finished) copies.
-
-    Signature labels use ``xxhash64`` over (old label, sorted R_in,
-    sorted R_out); finished labels are ``max`` source ids.  Labels differ
-    numerically from :func:`label_batch` but induce the same partition.
-    """
-    labels = labels.copy()
-    finished = finished.copy()
-    div = spark.createDataFrame(
-        pd.DataFrame({"v": pairs_in[0].astype(np.int64), "s": pairs_in[1].astype(np.int64)})
-    )
-    dov = spark.createDataFrame(
-        pd.DataFrame({"v": pairs_out[0].astype(np.int64), "s": pairs_out[1].astype(np.int64)})
-    )
-    lab_df = spark.createDataFrame(
-        pd.DataFrame({"v": np.arange(len(labels), dtype=np.int64), "old": labels})
-    )
-    both = div.join(dov, ["v", "s"]).groupBy("v").agg(F.max("s").alias("newlab"))
-    fin = both.toPandas()
-    if len(fin):
-        idx = fin["v"].to_numpy(dtype=np.int64)
-        labels[idx] = fin["newlab"].to_numpy(dtype=np.int64)
-        finished[idx] = True
-    sin = div.groupBy("v").agg(F.sort_array(F.collect_set("s")).alias("rin"))
-    sout = dov.groupBy("v").agg(F.sort_array(F.collect_set("s")).alias("rout"))
-    sig = (
-        sin.join(sout, "v", "full_outer")
-        .join(lab_df, "v")
-        .select(
-            "v",
-            (
-                -F.abs(
-                    F.xxhash64(
-                        F.col("old"),
-                        F.concat_ws(",", F.col("rin").cast("array<string>")),
-                        F.concat_ws(",", F.col("rout").cast("array<string>")),
-                    )
-                )
-                - F.lit(1)
-            ).alias("newlab"),
-        )
-        .toPandas()
-    )
-    if len(sig):
-        idx = sig["v"].to_numpy(dtype=np.int64)
-        keep = ~finished[idx]
-        labels[idx[keep]] = sig["newlab"].to_numpy(dtype=np.int64)[keep]
-    return labels, finished

@@ -15,7 +15,7 @@ vertex per round, order-insensitive so results are deterministic).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,6 @@ class ReachResult:
     rounds: int
     sparse_rounds: int
     dense_rounds: int
-    bfs_rounds_equiv: int = 0  # rounds a tau=1 BFS would have used (levels)
-    levels: list[np.ndarray] = field(default_factory=list)
 
 
 def single_reach(

@@ -3,13 +3,15 @@ results; rounds and visit counters are accounted on both paths."""
 import os
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.counters import Counters
 from repro.core.engine import Engine, frontier_pdf, pair_pdf
+from repro.core.kernels import KERNELS
 from repro.core.pairtable import PairTable
 from repro.core.reach import single_reach
-from tests.graph_zoo import zoo
+from tests.graph_zoo import zoo, zoo_sym
 
 
 def test_frontier_pdf_types():
@@ -187,3 +189,68 @@ def test_engine_close_unlinks_broadcast_file(spark):
     before = len(os.listdir(tmp))
     Engine(spark, zoo()["web"], Counters(), force_spark=True).close()
     assert len(os.listdir(tmp)) == before
+
+
+def _one_task_round(name: str):
+    """A frontier and params for one round of kernel ``name`` that takes
+    both the one-hop path (out-degree > tau) and the local search."""
+    c = zoo_sym()["web"] if name in ("ldd_reach", "lelists_round") else zoo()["web"]
+    n = c.n
+    g = np.random.default_rng(3)
+    vs = np.sort(g.choice(n, 24, replace=False)).astype(np.int64)
+    visited = np.zeros(n, dtype=bool)
+    visited[vs] = True
+    table = PairTable(n)
+    for v in vs[:6].tolist():
+        table.insert(v, v)
+    if name == "sparse_reach":
+        params = {
+            "direction": "bwd",
+            "visited": visited,
+            "tau": 8,
+            "two_pass": True,
+            "finished": g.random(n) < 0.1,
+            "restrict": g.integers(0, 2, n),
+        }
+        return c, frontier_pdf(vs), params
+    if name == "dense_reach":
+        params = {"direction": "fwd", "in_frontier": visited, "finished": None, "restrict": None}
+        return c, frontier_pdf(np.flatnonzero(~visited)), params
+    if name == "multi_reach":
+        params = {
+            "direction": "fwd",
+            "tau": 8,
+            "two_pass": True,
+            "labels": g.integers(0, 2, n),
+            "finished": g.random(n) < 0.1,
+            "table_keys": table.snapshot(),
+            "n": n,
+        }
+        return c, pair_pdf(vs, vs % 5), params
+    if name == "ldd_reach":
+        params = {"visited": visited, "tau": 8, "two_pass": True}
+        return c, pd.DataFrame({"v": vs, "lab": vs % 7}), params
+    if name == "lelists_round":
+        delta = np.where(g.random(n) < 0.2, 1, np.iinfo(np.int64).max)
+        params = {"delta": delta, "d": 1, "table_keys": table.snapshot(), "n": n, "two_pass": True}
+        return c, pair_pdf(vs, vs), params
+    params = {"colors": g.permutation(n).astype(np.int64), "active": g.random(n) < 0.8}
+    return c, frontier_pdf(vs), params
+
+
+@pytest.mark.spark
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_one_task_spark_round_equals_driver(spark, name):
+    """With one task the Spark path runs the kernel over the same frontier
+    as the driver call, so the rows, their order and the visit count match."""
+    c, pdf, params = _one_task_round(name)
+    e1 = Engine(None, c, Counters())
+    e2 = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0, npartitions=1)
+    try:
+        a = e1.round(name, pdf, params)
+        b = e2.round(name, pdf, params)
+    finally:
+        e2.close()
+    assert len(a) > 0
+    pd.testing.assert_frame_equal(a, b)
+    assert e1.counters.edge_visits == e2.counters.edge_visits

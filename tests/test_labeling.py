@@ -1,11 +1,11 @@
-"""BGSS labeling tests: pandas engine path, Catalyst path, DuckDB oracle."""
+"""BGSS labeling tests: the pandas labeling and a DuckDB oracle of its
+SCC-detection join."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.labeling import label_batch, label_batch_df
+from repro.core.labeling import label_batch
 from repro.oracle import assert_equivalent
-from tests.graph_zoo import same_partition
 
 
 def _pairs(*pairs):
@@ -71,22 +71,6 @@ def test_empty_batch_is_noop():
     finished = np.zeros(2, dtype=bool)
     n = label_batch(_pairs(), _pairs(), labels, finished)
     assert n == 0 and labels.tolist() == [-1, -1]
-
-
-@pytest.mark.spark
-def test_df_path_partition_equivalent(spark):
-    g = np.random.default_rng(5)
-    n = 40
-    pin = (g.integers(0, n, 60), g.integers(0, 8, 60))
-    pout = (g.integers(0, n, 60), g.integers(0, 8, 60))
-    labels_a = np.full(n, -1, dtype=np.int64)
-    finished_a = np.zeros(n, dtype=bool)
-    label_batch(pin, pout, labels_a, finished_a)
-    labels_b, finished_b = label_batch_df(
-        spark, pin, pout, np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=bool)
-    )
-    assert np.array_equal(finished_a, finished_b)
-    assert same_partition(labels_a, labels_b)
 
 
 @pytest.mark.spark

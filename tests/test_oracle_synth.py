@@ -1,12 +1,10 @@
-"""Self-tests of the provided DuckDB oracle + TPC-H-lite generators, and
-oracle checks of the graph DataFrame ops (repro.graphs.ops)."""
+"""Self-tests of the DuckDB oracle on zoo edge tables, and oracle checks
+of the graph DataFrame ops (repro.graphs.ops)."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
-from repro.core import csr as csrmod
 from repro.graphs import ops
 from repro.oracle import assert_equivalent
 from tests.graph_zoo import zoo
@@ -14,59 +12,53 @@ from tests.graph_zoo import zoo
 pytestmark = pytest.mark.spark
 
 
-def test_oracle_accepts_matching_aggregate(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    out = li.groupBy("l_returnflag").agg(
-        F.sum("l_quantity").alias("sum_qty"), F.count("*").alias("cnt")
-    )
-    assert_equivalent(
-        out,
-        "SELECT l_returnflag, sum(l_quantity) AS sum_qty, count(*) AS cnt "
-        "FROM lineitem GROUP BY l_returnflag",
-        lineitem=li,
-    )
-
-
-def test_oracle_join(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    o = synth_data.orders(spark, sf=0.001)
-    out = (
-        li.join(o, li.l_orderkey == o.o_orderkey)
-        .groupBy("o_orderpriority")
-        .agg(F.count("*").alias("cnt"))
-    )
-    assert_equivalent(
-        out,
-        "SELECT o_orderpriority, count(*) AS cnt FROM lineitem l "
-        "JOIN orders o ON l.l_orderkey = o.o_orderkey GROUP BY o_orderpriority",
-        lineitem=li,
-        orders=o,
-    )
-
-
-def test_oracle_catches_wrong_result(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    wrong = li.groupBy("l_returnflag").agg((F.count("*") + 1).alias("cnt"))
-    with pytest.raises(AssertionError):
-        assert_equivalent(
-            wrong,
-            "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-            lineitem=li,
-        )
-
-
-def test_synth_deterministic(spark):
-    a = synth_data.orders(spark, sf=0.001).toPandas()
-    b = synth_data.orders(spark, sf=0.001).toPandas()
-    pd.testing.assert_frame_equal(a, b)
-
-
-# -- graph ops vs DuckDB --------------------------------------------------
 def _edges_pdf(c):
     src = np.repeat(np.arange(c.n, dtype=np.int64), np.diff(c.indptr))
     return pd.DataFrame({"src": src, "dst": c.indices})
 
 
+# -- oracle self-tests ----------------------------------------------------
+def test_oracle_accepts_matching_aggregate(spark):
+    pdf = _edges_pdf(zoo()["web"])
+    out = (
+        spark.createDataFrame(pdf)
+        .groupBy("src")
+        .agg(F.sum("dst").alias("sum_dst"), F.count("*").alias("cnt"))
+    )
+    assert_equivalent(
+        out,
+        "SELECT src, sum(dst) AS sum_dst, count(*) AS cnt FROM edges GROUP BY src",
+        edges=pdf,
+    )
+
+
+def test_oracle_join(spark):
+    c = zoo()["rmat"]
+    pdf = _edges_pdf(c)
+    degs = pd.DataFrame({"v": np.arange(c.n, dtype=np.int64), "deg": np.diff(c.indptr)})
+    e, d = spark.createDataFrame(pdf), spark.createDataFrame(degs)
+    out = e.join(d, e.dst == d.v).groupBy("deg").agg(F.count("*").alias("cnt"))
+    assert_equivalent(
+        out,
+        "SELECT deg, count(*) AS cnt FROM edges e "
+        "JOIN degs d ON e.dst = d.v GROUP BY deg",
+        edges=pdf,
+        degs=degs,
+    )
+
+
+def test_oracle_catches_wrong_result(spark):
+    pdf = _edges_pdf(zoo()["web"])
+    wrong = spark.createDataFrame(pdf).groupBy("src").agg((F.count("*") + 1).alias("cnt"))
+    with pytest.raises(AssertionError):
+        assert_equivalent(
+            wrong,
+            "SELECT src, count(*) AS cnt FROM edges GROUP BY src",
+            edges=pdf,
+        )
+
+
+# -- graph ops vs DuckDB --------------------------------------------------
 def test_degrees_oracle(spark):
     c = zoo()["rmat"]
     pdf = _edges_pdf(c)
