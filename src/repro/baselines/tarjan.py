@@ -83,3 +83,10 @@ def scc_stats(labels: np.ndarray) -> tuple[int, int]:
     """(#SCC, |SCC_1|) from a label array."""
     _, counts = np.unique(labels, return_counts=True)
     return len(counts), int(counts.max()) if len(counts) else 0
+
+
+def canon_partition(labels: np.ndarray) -> np.ndarray:
+    """Map each label to the smallest vertex id carrying it, so two label
+    arrays induce the same partition iff their canon forms are equal."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return first[inverse].astype(np.int64)

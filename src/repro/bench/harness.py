@@ -2,8 +2,11 @@
 
 Every run returns a :class:`RunRow` with measured wall time, barrier
 (round) count, edge visits, the modeled 96-core time
-(``counters.simulated_time``), and correctness stats verified against the
-sequential oracle (the paper verifies #SCC and |SCC_1| the same way).
+(``counters.simulated_time``), and #SCC / |SCC_1|.  A run is "ok" only
+if its whole answer equals the sequential oracle's: the same SCC or CC
+partition, the same LE-lists (the paper checks #SCC and |SCC_1| only).
+With ``force_spark=False`` the run gets no Spark session, so every round
+runs on the driver.
 Rows are also appended as JSON lines to ``$REPRO_RESULTS`` (default
 ``bench_results.jsonl`` in the repo root) so EXPERIMENTS.md can be
 assembled from a benchmark run.
@@ -25,7 +28,7 @@ from repro.baselines.ispan import ispan_scc
 from repro.baselines.multistep import multistep_scc
 from repro.baselines.seq_cc import seq_cc
 from repro.baselines.seq_lelists import seq_le_lists
-from repro.baselines.tarjan import scc_stats, tarjan_scc
+from repro.baselines.tarjan import canon_partition, scc_stats, tarjan_scc
 from repro.cc.connectivity import ldd_uf_jtb
 from repro.core import csr as csrmod
 from repro.core.counters import Counters, simulated_time, simulated_time_sequential
@@ -73,14 +76,12 @@ def run_scc(
     *,
     budget_s: float = DEFAULT_BUDGET_S,
     force_spark: bool = True,
-    truth: tuple[int, int] | None = None,
 ) -> RunRow:
     """algo in {ours, gbbs, multistep, ispan, seq}."""
     c = spec_csr(spec)
-    if truth is None:
-        t_lab, _ = tarjan_scc(c)
-        truth = scc_stats(t_lab)
-    kw = dict(force_spark=force_spark, spark_threshold=0, time_budget_s=budget_s)
+    truth = canon_partition(tarjan_scc(c)[0])
+    spark = spark if force_spark else None
+    kw = dict(force_spark=force_spark, time_budget_s=budget_s)
     t0 = time.perf_counter()
     try:
         if algo == "seq":
@@ -103,7 +104,7 @@ def run_scc(
             else:
                 raise ValueError(algo)
             wall = time.perf_counter() - t0
-            status = "ok" if (res.n_scc, res.scc1_size) == truth else "wrong"
+            status = "ok" if np.array_equal(canon_partition(res.labels), truth) else "wrong"
             row = RunRow(
                 "table2", spec.name, spec.family, algo, status, wall,
                 res.counters.rounds, res.counters.edge_visits,
@@ -129,8 +130,9 @@ def run_cc(
 ) -> RunRow:
     """variant in {ours, dhs21, seq}."""
     c = spec_csr(spec)
-    truth = seq_cc(spec.n, spec.src, spec.dst)
+    truth = canon_partition(seq_cc(spec.n, spec.src, spec.dst))
     n_comp = len(np.unique(truth))
+    spark = spark if force_spark else None
     t0 = time.perf_counter()
     try:
         if variant == "seq":
@@ -144,10 +146,10 @@ def run_cc(
         else:
             res = ldd_uf_jtb(
                 spark, csr=c, variant=variant, seed=42,
-                force_spark=force_spark, spark_threshold=0, time_budget_s=budget_s,
+                force_spark=force_spark, time_budget_s=budget_s,
             )
             wall = time.perf_counter() - t0
-            status = "ok" if res.n_components == n_comp else "wrong"
+            status = "ok" if np.array_equal(canon_partition(res.labels), truth) else "wrong"
             row = RunRow(
                 "table3cc", spec.name, spec.family, variant, status, wall,
                 res.counters.rounds, res.counters.edge_visits,
@@ -174,6 +176,7 @@ def run_lelists(
     """variant in {ours, parlay, seq}."""
     c = spec_csr(spec)
     order = np.random.default_rng(seed).permutation(spec.n).astype(np.int64)
+    spark = spark if force_spark else None
     t0 = time.perf_counter()
     try:
         if variant == "seq":
@@ -187,7 +190,7 @@ def run_lelists(
         else:
             res = le_lists(
                 spark, csr=c, order=order, variant=variant,
-                force_spark=force_spark, spark_threshold=0, time_budget_s=budget_s,
+                force_spark=force_spark, time_budget_s=budget_s,
             )
             wall = time.perf_counter() - t0
             truth = seq_le_lists(c, order)

@@ -4,8 +4,7 @@ Phase 1: low-diameter decomposition (``repro.cc.ldd``).  Phase 2: for
 every edge whose endpoints landed in different clusters, union the two
 cluster labels (the ConnectIt finishing step with the Jayanti-et-al.
 union-find; sequential-equivalent on the driver).  Cross-cluster edges
-are found with a Catalyst join over the edge table when a SparkSession is
-supplied — an oracle-checkable DataFrame computation — else with numpy.
+are found with one numpy pass over the CSR's edges.
 
 Variants: ``"dhs21"`` = the ConnectIt baseline (plain BFS LDD, tau=1,
 edge-revisit two-pass); ``"ours"`` = hash-bag single-pass + VGC local
@@ -17,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.baselines.seq_cc import UnionFind
 from repro.core import csr as csrmod
@@ -45,26 +43,6 @@ class CCResult:
         return self
 
 
-def cross_cluster_edges_df(
-    spark: SparkSession, edges: DataFrame, labels: np.ndarray
-) -> pd.DataFrame:
-    """Distinct (la, lb) cluster-label pairs joined by an edge, via
-    Catalyst joins (tested against DuckDB SQL)."""
-    lab_df = spark.createDataFrame(
-        pd.DataFrame({"v": np.arange(len(labels), dtype=np.int64), "lab": labels})
-    )
-    la = lab_df.select(F.col("v").alias("src"), F.col("lab").alias("la"))
-    lb = lab_df.select(F.col("v").alias("dst"), F.col("lab").alias("lb"))
-    return (
-        edges.join(la, "src")
-        .join(lb, "dst")
-        .where(F.col("la") != F.col("lb"))
-        .select("la", "lb")
-        .distinct()
-        .toPandas()
-    )
-
-
 def cross_cluster_edges_np(
     src: np.ndarray, dst: np.ndarray, labels: np.ndarray
 ) -> pd.DataFrame:
@@ -76,8 +54,7 @@ def cross_cluster_edges_np(
 def ldd_uf_jtb(
     spark: SparkSession | None,
     *,
-    edges_df: DataFrame | None = None,
-    csr: csrmod.CSR | None = None,
+    csr: csrmod.CSR,
     variant: str = "ours",
     beta: float = 1.2,
     seed: int = 42,
@@ -86,12 +63,9 @@ def ldd_uf_jtb(
     time_budget_s: float | None = None,
     counters: Counters | None = None,
 ) -> CCResult:
-    """Input graph must be symmetric (undirected); see graphs.ops.symmetrize."""
+    """Input graph must be symmetric (undirected): every edge (u, v) has
+    its reverse (v, u) in ``csr``."""
     cfg = CC_VARIANTS[variant]
-    if csr is None:
-        if edges_df is None:
-            raise ValueError("need edges_df or csr")
-        csr = csrmod.from_edges_df(edges_df)
     n = csr.n
     counters = counters if counters is not None else Counters()
     engine = Engine(
@@ -109,11 +83,8 @@ def ldd_uf_jtb(
         with PhaseTimer(counters, "ldd"):
             res = ldd(engine, order, beta=beta, tau=cfg["tau"], two_pass=cfg["two_pass"])
         with PhaseTimer(counters, "union_find"):
-            if spark is not None and edges_df is not None:
-                cross = cross_cluster_edges_df(spark, edges_df, res.labels)
-            else:
-                src = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
-                cross = cross_cluster_edges_np(src, csr.indices, res.labels)
+            src = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+            cross = cross_cluster_edges_np(src, csr.indices, res.labels)
             uf = UnionFind(n)
             for a, b in zip(cross["la"].tolist(), cross["lb"].tolist()):
                 uf.union(int(a), int(b))

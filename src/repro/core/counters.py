@@ -42,15 +42,6 @@ class Counters:
     def add_phase(self, name: str, seconds: float) -> None:
         self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
 
-    def merge(self, other: "Counters") -> None:
-        self.rounds += other.rounds
-        self.edge_visits += other.edge_visits
-        self.pair_inserts += other.pair_inserts
-        self.table_rehash_cost += other.table_rehash_cost
-        for k, v in other.phase_seconds.items():
-            self.add_phase(k, v)
-        self.search_rounds.extend(other.search_rounds)
-
 
 class PhaseTimer:
     """``with PhaseTimer(counters, "first_scc"): ...`` accumulates wall time

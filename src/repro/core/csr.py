@@ -1,17 +1,15 @@
 """CSR graph substrate.
 
-Graphs enter the system as Spark edge DataFrames ``(src, dst)``; the
-iterative engines traverse a CSR (``indptr``/``indices``) built once per
-graph and broadcast to executors — the Spark analogue of the paper's
-shared-memory adjacency arrays.
+Every algorithm takes its graph as a CSR (``indptr``/``indices``) built
+once per graph from src/dst arrays and broadcast to executors — the Spark
+analogue of the paper's shared-memory adjacency arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 
 @dataclass(frozen=True)
@@ -47,25 +45,6 @@ def from_arrays(n: int, src: np.ndarray, dst: np.ndarray) -> CSR:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return CSR(n=n, indptr=indptr, indices=dst[order])
-
-
-def from_edges_df(edges: DataFrame, n: int | None = None) -> CSR:
-    """Collect a Spark edge DataFrame and build the CSR.
-
-    ``n`` defaults to max vertex id + 1. Bench graphs are laptop-scale by
-    design (DESIGN.md Sec. 6), so the collect is bounded.
-    """
-    pdf = edges.select("src", "dst").toPandas()
-    src = pdf["src"].to_numpy(dtype=np.int64)
-    dst = pdf["dst"].to_numpy(dtype=np.int64)
-    if n is None:
-        n = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1) if len(src) else 0
-    return from_arrays(n, src, dst)
-
-
-def to_edges_df(spark: SparkSession, csr: CSR) -> DataFrame:
-    src = np.repeat(np.arange(csr.n, dtype=np.int64), np.diff(csr.indptr))
-    return spark.createDataFrame(pd.DataFrame({"src": src, "dst": csr.indices}))
 
 
 class GraphBroadcast:

@@ -6,7 +6,6 @@ frontier of a graph search) supporting:
 - ``insert(k)``   — concurrent-safe insertion (no duplicate checking; the
   caller guarantees uniqueness, e.g. via a CAS on a ``visit`` flag).
 - ``extract_all`` — pack all elements into an array and empty the bag.
-- ``for_all(f)``  — apply ``f`` to every element.
 
 The bag is a single pre-allocated array conceptually split into chunks of
 exponentially growing sizes lambda, 2*lambda, 4*lambda, ...  Elements are
@@ -166,10 +165,3 @@ class HashBag:
         self.sample[: self.r + 1] = 0
         self.r = 0
         return out
-
-    def for_all(self, fn) -> None:
-        """Apply ``fn`` to every element without removing it."""
-        hi = int(self.tail[self.r])
-        for x in self.bag[:hi]:
-            if x != 0:
-                fn(int(x) - 1)

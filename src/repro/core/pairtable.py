@@ -5,7 +5,8 @@ vertex ``v``").  The paper uses the Shun–Blelloch phase-concurrent hash
 table and a new sizing heuristic (Sec. 4.5): size the table for a batch as
 ``max(0.3 * b, 1.5 * a)`` rounded up to a power of two, where ``a`` is the
 number of pairs generated by the previous frontier and ``b`` the number of
-unfinished vertices — avoiding GBBS's per-round exact-fit rebuilds.
+unfinished vertices — avoiding the repeated grow-on-demand rebuilds of the
+GBBS baseline, whose table starts tiny and doubles whenever it fills.
 
 This port is an open-addressing (linear probing) numpy table keyed by the
 packed 64-bit integer ``v * n + s``.  The driver inserts; executor-side
@@ -58,14 +59,12 @@ class PairTable:
         self.keys = np.full(self.capacity, EMPTY, dtype=np.int64)
         self.size = 0
         self.rehash_cost = 0  # slots touched by rebuilds
-        self.rehash_count = 0
 
     def _grow(self, new_capacity: int) -> None:
         old = self.keys
         self.capacity = new_capacity
         self.keys = np.full(new_capacity, EMPTY, dtype=np.int64)
         self.rehash_cost += len(old) + new_capacity
-        self.rehash_count += 1
         for k in old[old != EMPTY]:
             self.keys[_probe_index(self.keys, int(k))] = int(k)
 
@@ -74,12 +73,6 @@ class PairTable:
         cap = next_pow2(capacity)
         if cap > self.capacity:
             self._grow(cap)
-
-    def rebuild_exact(self) -> None:
-        """GBBS-style per-round rebuild sized exactly to the current
-        contents (2x head-room). Counted as rehash cost even when the
-        capacity is unchanged — the rebuild itself is the expense."""
-        self._grow(next_pow2(max(16, 2 * self.size)))
 
     def insert(self, v: int, s: int) -> bool:
         """Insert pair; returns True iff it was new."""

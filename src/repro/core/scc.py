@@ -17,10 +17,10 @@ work counter, see ``counters.py``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.core import csr as csrmod
 from repro.core.counters import Counters, PhaseTimer
@@ -28,7 +28,6 @@ from repro.core.engine import Engine
 from repro.core.labeling import label_batch
 from repro.core.multireach import multi_reach
 from repro.core.reach import single_reach
-from repro.core.trim import trim_df, trim_numpy
 
 DEFAULT_TAU = 1 << 9  # paper Tab. 1
 DEFAULT_BETA = 1.5
@@ -49,13 +48,18 @@ class SCCResult:
     counters: Counters
     n_scc: int = 0
     scc1_size: int = 0
-    batch_rounds: list[int] = field(default_factory=list)  # rounds per search
 
     def finalize(self) -> "SCCResult":
         _, counts = np.unique(self.labels, return_counts=True)
         self.n_scc = len(counts)
         self.scc1_size = int(counts.max()) if len(counts) else 0
         return self
+
+
+def trim_numpy(csr: csrmod.CSR, csr_t: csrmod.CSR) -> np.ndarray:
+    """Trimming (Sec. 4.1): vertices with zero in- or out-degree are
+    singleton SCCs, finished before any search."""
+    return (np.diff(csr.indptr) == 0) | (np.diff(csr_t.indptr) == 0)
 
 
 def batch_sizes(n: int, beta: float = DEFAULT_BETA) -> list[int]:
@@ -75,8 +79,7 @@ def batch_sizes(n: int, beta: float = DEFAULT_BETA) -> list[int]:
 def bgss_scc(
     spark: SparkSession | None,
     *,
-    edges_df: DataFrame | None = None,
-    csr: csrmod.CSR | None = None,
+    csr: csrmod.CSR,
     variant: str = "final",
     tau: int | None = None,
     beta: float = DEFAULT_BETA,
@@ -88,10 +91,9 @@ def bgss_scc(
 ) -> SCCResult:
     """Run BGSS SCC; returns per-vertex labels (equal label <=> same SCC).
 
-    Provide the graph as ``edges_df`` (trimming then runs through
-    Catalyst) and/or a prebuilt ``csr``.  ``tau`` overrides the variant's
-    local-search budget for both search kinds (used by the tau-sweep
-    study).  Raises ``TimeoutError`` if ``time_budget_s`` is exceeded.
+    ``tau`` overrides the variant's local-search budget for both search
+    kinds (used by the tau-sweep study).  Raises ``TimeoutError`` if
+    ``time_budget_s`` is exceeded.
     """
     cfg = dict(VARIANTS[variant])
     if tau is not None:
@@ -99,10 +101,6 @@ def bgss_scc(
             cfg["tau_single"] = tau
         if cfg["tau_multi"] != 1 or variant == "final":
             cfg["tau_multi"] = tau
-    if csr is None:
-        if edges_df is None:
-            raise ValueError("need edges_df or csr")
-        csr = csrmod.from_edges_df(edges_df)
     n = csr.n
     csr_t = csr.transpose()
     counters = counters if counters is not None else Counters()
@@ -120,10 +118,7 @@ def bgss_scc(
         # yet distinguished"; refinement must only ever split groups.
         labels = np.full(n, -1, dtype=np.int64)
         with PhaseTimer(counters, "trim"):
-            if spark is not None and edges_df is not None:
-                finished = trim_df(spark, edges_df, n)
-            else:
-                finished = trim_numpy(csr, csr_t)
+            finished = trim_numpy(csr, csr_t)
             # Trimmed vertices are singleton SCCs: unique label = own id.
             labels[finished] = np.flatnonzero(finished)
         result = SCCResult(labels=labels, counters=counters)
@@ -157,7 +152,6 @@ def bgss_scc(
                 dense=True,
                 finished=finished,
             )
-            result.batch_rounds += [fw.rounds, bw.rounds]
             counters.search_rounds += [fw.rounds, bw.rounds]
         with PhaseTimer(counters, "labeling"):
             out_v = np.flatnonzero(fw.visited).astype(np.int64)
@@ -200,7 +194,6 @@ def bgss_scc(
                     sizing=cfg["sizing"],
                     prev_pairs_hint=prev_pairs,
                 )
-                result.batch_rounds += [mr_fw.rounds, mr_bw.rounds]
                 counters.search_rounds += [mr_fw.rounds, mr_bw.rounds]
                 prev_pairs = len(mr_fw.pairs_v) + len(mr_bw.pairs_v)
             with PhaseTimer(counters, "labeling"):

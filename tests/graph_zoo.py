@@ -3,20 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.tarjan import canon_partition
 from repro.core import csr as csrmod
 from repro.graphs import generators as gen
-
-
-def canon_partition(labels: np.ndarray) -> np.ndarray:
-    """Map each label to the smallest vertex id carrying it, so two label
-    arrays induce the same partition iff their canon forms are equal."""
-    first: dict[int, int] = {}
-    out = np.empty(len(labels), dtype=np.int64)
-    for v, l in enumerate(np.asarray(labels).tolist()):
-        if l not in first:
-            first[l] = v
-        out[v] = first[l]
-    return out
 
 
 def same_partition(a: np.ndarray, b: np.ndarray) -> bool:

@@ -1,21 +1,15 @@
 """Connectivity tests: LDD properties, LDD-UF-JTB vs union-find oracle."""
 import numpy as np
-import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.seq_cc import UnionFind, seq_cc
-from repro.cc.connectivity import (
-    cross_cluster_edges_df,
-    cross_cluster_edges_np,
-    ldd_uf_jtb,
-)
+from repro.cc.connectivity import cross_cluster_edges_np, ldd_uf_jtb
 from repro.cc.ldd import ldd
 from repro.core import csr as csrmod
 from repro.core.counters import Counters
 from repro.core.engine import Engine
-from repro.oracle import assert_equivalent
 from tests.graph_zoo import ZOO_NAMES, same_partition, zoo_sym
 
 
@@ -126,16 +120,6 @@ def test_property_connectivity(n, m, seed):
 
 
 @pytest.mark.spark
-def test_connectivity_spark_path(spark):
-    c = zoo_sym()["lattice_sparse"]
-    edges = csrmod.to_edges_df(spark, c)
-    src = np.repeat(np.arange(c.n, dtype=np.int64), np.diff(c.indptr))
-    truth = seq_cc(c.n, src, c.indices)
-    r = ldd_uf_jtb(spark, edges_df=edges, variant="ours", seed=0)
-    assert same_partition(r.labels, truth)
-
-
-@pytest.mark.spark
 @pytest.mark.parametrize("name", ["lattice_sparse", "rmat"])
 def test_connectivity_forced_spark_matches_oracle(spark, name):
     """Every ``ldd_reach`` round runs as a Spark job, with the frontier
@@ -145,25 +129,3 @@ def test_connectivity_forced_spark_matches_oracle(spark, name):
     truth = seq_cc(c.n, src, c.indices)
     r = ldd_uf_jtb(spark, csr=c, variant="ours", seed=0, force_spark=True, spark_threshold=0)
     assert same_partition(r.labels, truth)
-
-
-@pytest.mark.spark
-def test_cross_cluster_edges_df_oracle(spark):
-    g = np.random.default_rng(8)
-    n = 30
-    src, dst = g.integers(0, n, 60), g.integers(0, n, 60)
-    labels = g.integers(0, 5, n)
-    edges_pdf = pd.DataFrame({"src": src, "dst": dst})
-    got = cross_cluster_edges_df(spark, spark.createDataFrame(edges_pdf), labels)
-    lab_pdf = pd.DataFrame({"v": np.arange(n), "lab": labels})
-    got_df = spark.createDataFrame(got.astype({"la": "int64", "lb": "int64"}))
-    assert_equivalent(
-        got_df,
-        """
-        SELECT DISTINCT a.lab AS la, b.lab AS lb
-        FROM edges e JOIN labs a ON e.src = a.v JOIN labs b ON e.dst = b.v
-        WHERE a.lab <> b.lab
-        """,
-        edges=edges_pdf,
-        labs=lab_pdf,
-    )

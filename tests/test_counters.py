@@ -14,19 +14,6 @@ def test_defaults_zero():
     assert c.rounds == 0 and c.edge_visits == 0 and c.pair_inserts == 0
 
 
-def test_merge():
-    a, b = Counters(), Counters()
-    a.rounds, b.rounds = 2, 3
-    a.edge_visits, b.edge_visits = 10, 20
-    b.add_phase("x", 1.5)
-    a.add_phase("x", 0.5)
-    b.search_rounds.append(7)
-    a.merge(b)
-    assert a.rounds == 5 and a.edge_visits == 30
-    assert a.phase_seconds["x"] == 2.0
-    assert a.search_rounds == [7]
-
-
 def test_phase_timer_accumulates():
     c = Counters()
     with PhaseTimer(c, "p"):

@@ -1,10 +1,7 @@
-"""CSR substrate tests (numpy core + Spark DataFrame round trips)."""
+"""CSR substrate tests."""
 import numpy as np
-import pandas as pd
-import pytest
 
 from repro.core import csr as csrmod
-from repro.oracle import assert_equivalent
 
 
 def test_from_arrays_basic():
@@ -47,34 +44,3 @@ def test_transpose_involution():
 def test_transpose_degrees_swap():
     c = csrmod.from_arrays(3, np.array([0, 1, 2]), np.array([1, 2, 0]))
     assert c.transpose().out_degree().tolist() == [1, 1, 1]
-
-
-@pytest.mark.spark
-def test_from_edges_df_roundtrip(spark):
-    pdf = pd.DataFrame({"src": [0, 1, 2, 2], "dst": [1, 2, 0, 3]})
-    c = csrmod.from_edges_df(spark.createDataFrame(pdf))
-    assert c.n == 4 and c.m == 4
-    assert c.neighbors(2).tolist() == [0, 3]
-
-
-@pytest.mark.spark
-def test_from_edges_df_explicit_n(spark):
-    pdf = pd.DataFrame({"src": [0], "dst": [1]})
-    c = csrmod.from_edges_df(spark.createDataFrame(pdf), n=10)
-    assert c.n == 10
-
-
-@pytest.mark.spark
-def test_to_edges_df_oracle(spark):
-    """Edge counts per source from the reconstructed DataFrame must match
-    DuckDB SQL over the original edge table."""
-    g = np.random.default_rng(1)
-    src, dst = g.integers(0, 30, 100), g.integers(0, 30, 100)
-    c = csrmod.from_arrays(30, src, dst)
-    df = csrmod.to_edges_df(spark, c)
-    out = df.groupBy("src").count().withColumnRenamed("count", "cnt")
-    assert_equivalent(
-        out,
-        "SELECT src, count(*) AS cnt FROM edges GROUP BY src",
-        edges=pd.DataFrame({"src": src, "dst": dst}),
-    )

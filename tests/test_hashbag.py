@@ -101,17 +101,6 @@ def test_probe_bound_forces_resize():
     assert sorted(bag.extract_all().tolist()) == list(range(400))
 
 
-def test_for_all_visits_every_element():
-    bag = HashBag(300, seed=7)
-    for v in range(120):
-        bag.insert(v)
-    seen = []
-    bag.for_all(seen.append)
-    assert sorted(seen) == list(range(120))
-    # for_all does not remove
-    assert len(bag) == 120
-
-
 def test_len_tracks_inserts():
     bag = HashBag(100, seed=8)
     for i in range(30):

@@ -128,11 +128,6 @@ def test_timeout_raises():
         bgss_scc(None, csr=c, variant="plain", time_budget_s=0.0)
 
 
-def test_requires_graph():
-    with pytest.raises(ValueError):
-        bgss_scc(None)
-
-
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(2, 80), m=st.integers(0, 300), seed=st.integers(0, 10**6))
 def test_property_final_matches_tarjan(n, m, seed):
@@ -152,13 +147,4 @@ def test_forced_spark_equals_driver(spark):
     r = bgss_scc(
         spark, csr=c, variant="final", seed=0, force_spark=True, spark_threshold=0
     )
-    assert same_partition(r.labels, t_lab)
-
-
-@pytest.mark.spark
-def test_edges_df_entrypoint_with_catalyst_trim(spark):
-    c = zoo()["web"]
-    edges = csrmod.to_edges_df(spark, c)
-    t_lab, _ = tarjan_scc(c)
-    r = bgss_scc(spark, edges_df=edges, variant="final", seed=0)
     assert same_partition(r.labels, t_lab)

@@ -1,11 +1,8 @@
-"""Trimming tests: numpy path, Catalyst path, DuckDB oracle."""
+"""Trimming tests: the degree-array pass over the CSR."""
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.core import csr as csrmod
-from repro.core.trim import trim_df, trim_numpy
-from repro.oracle import assert_equivalent
+from repro.core.scc import trim_numpy
 from tests.graph_zoo import ZOO_NAMES, zoo
 
 
@@ -36,33 +33,3 @@ def test_self_loop_not_trimmed():
     mask = trim_numpy(c, c.transpose())
     assert not mask[0]
     assert mask[1] and mask[2]
-
-
-@pytest.mark.spark
-def test_trim_df_matches_numpy(spark):
-    c = zoo()["web"]
-    edges = csrmod.to_edges_df(spark, c)
-    assert np.array_equal(trim_df(spark, edges, c.n), trim_numpy(c, c.transpose()))
-
-
-@pytest.mark.spark
-def test_trim_df_oracle(spark):
-    """Zero-in-or-out vertices via Catalyst vs DuckDB SQL."""
-    g = np.random.default_rng(9)
-    n = 40
-    pdf = pd.DataFrame({"src": g.integers(0, n, 80), "dst": g.integers(0, n, 80)})
-    edges = spark.createDataFrame(pdf)
-    mask = trim_df(spark, edges, n)
-    got = spark.createDataFrame(
-        pd.DataFrame({"v": np.flatnonzero(mask).astype(np.int64)})
-    )
-    assert_equivalent(
-        got,
-        """
-        WITH ids AS (SELECT * FROM range(0, 40) t(v))
-        SELECT v FROM ids
-        WHERE v NOT IN (SELECT src FROM edges)
-           OR v NOT IN (SELECT dst FROM edges)
-        """,
-        edges=pdf,
-    )
