@@ -78,12 +78,10 @@ def ispan_scc(
             with PhaseTimer(counters, phase):
                 p = _pivot(csr, csr_t, mask)
                 not_mask = ~mask
-                fw = single_reach(
-                    engine, np.asarray([p]), direction="fwd", tau=1, finished=not_mask
+                r = single_reach(
+                    engine, np.asarray([p]), direction="both", tau=1, finished=not_mask
                 )
-                bw = single_reach(
-                    engine, np.asarray([p]), direction="bwd", tau=1, finished=not_mask
-                )
+                fw, bw = r.fw, r.bw
                 scc = fw.visited & bw.visited & mask
                 scc[p] = True
                 labels[scc] = int(np.flatnonzero(scc).max())

@@ -88,12 +88,10 @@ def multistep_scc(
                 deg_prod[~active] = -1
                 pivot = int(np.argmax(deg_prod))
                 inactive = ~active
-                fw = single_reach(
-                    engine, np.asarray([pivot]), direction="fwd", tau=1, finished=inactive
+                r = single_reach(
+                    engine, np.asarray([pivot]), direction="both", tau=1, finished=inactive
                 )
-                bw = single_reach(
-                    engine, np.asarray([pivot]), direction="bwd", tau=1, finished=inactive
-                )
+                fw, bw = r.fw, r.bw
                 scc1 = fw.visited & bw.visited
                 scc1[pivot] = True
                 labels[scc1] = int(np.flatnonzero(scc1).max())

@@ -7,7 +7,10 @@ the paper's 96-core C++ runs.  What *does* transfer is the cost structure:
 
 Every reachability engine in this repo counts its edge visits (successful
 and unsuccessful, both passes for the edge-revisit baseline), its rounds
-(one Spark job == one global barrier), and its hash-table rebuild cost.
+and its hash-table rebuild cost.  ``rounds`` counts barriers (one Spark
+job each), not search steps: a batch's forward and backward searches
+share their barriers, so a batch costs max(fw, bw) of them, while
+``search_rounds`` keeps each search's own count (the paper's Fig. 10).
 :func:`simulated_time` turns those counters into a modeled 96-core time.
 
 Calibration (documented, fixed): R_e = 4e8 edge-visits/s/core (memory-bound
@@ -30,7 +33,7 @@ MODEL_BARRIER = 4.0e-5  # seconds per global synchronization
 class Counters:
     """Mutable counters threaded through one algorithm run."""
 
-    rounds: int = 0  # global barriers (Spark jobs over a frontier)
+    rounds: int = 0  # global barriers (one Spark job each, fw+bw shared)
     edge_visits: int = 0  # neighbor inspections, incl. failed + revisit pass
     pair_inserts: int = 0
     table_rehash_cost: int = 0  # slots touched by pair-table rebuilds
@@ -67,7 +70,9 @@ def simulated_time(
     edge_rate: float = MODEL_EDGE_RATE,
     barrier: float = MODEL_BARRIER,
 ) -> float:
-    """Modeled runtime on the paper's machine, from measured counters."""
+    """Modeled runtime on the paper's machine, from measured counters:
+    one ``barrier`` per counted round, i.e. per barrier shared by the
+    searches that ran in it."""
     work = c.edge_visits + c.table_rehash_cost + c.pair_inserts
     return work / (cores * edge_rate) + c.rounds * barrier
 

@@ -1,63 +1,93 @@
 """Round engine: one call == one frontier round == one global barrier.
 
-The engine takes a frontier as a pandas DataFrame, runs a kernel from
-``repro.core.kernels`` over it, and returns the candidate rows.  Two
-execution paths produce *identical* results:
+A round takes one or more *queries* ``(kernel, frontier, params)``, each
+frontier a pandas DataFrame, runs each kernel from
+``repro.core.kernels`` over its frontier and returns each query's
+candidate rows.  The driver cuts every frontier into contiguous slices
+and calls the kernel once per slice, so the slicing, and with it every
+task-local dedupe and counter, is the same on both execution paths:
 
-- **Spark path** — the frontier becomes a DataFrame whose local scan is
-  split into contiguous slices, at most ``npartitions`` of them, and the
-  kernel runs inside ``mapInPandas`` with the graph read from a broadcast
-  variable.  ``createDataFrame → coalesce → mapInPandas → toPandas`` is
-  one Spark job with one stage: no shuffle, so one round is exactly one
-  barrier, the analogue of the paper's fork-join round whose fixed
-  overhead is what VGC amortizes.  Each job is described as
-  ``<kernel>/r<round>`` in the Spark UI and event log.
-- **Driver path** — the kernel is called directly.  This is ordinary
-  horizontal granularity control (don't distribute tiny work) and is used
-  by unit tests; **benchmarks force the Spark path for every algorithm**
-  (``spark_threshold=0``) so all competitors pay the same barrier cost.
+- **Spark path** — the slices become
+  ``sc.parallelize(slices, len(slices)).mapPartitions(...).collect()``:
+  one Spark job with one stage and one task per slice, the graph read
+  from a broadcast variable and each query's params riding in the task
+  closure.  One round is exactly one barrier, the analogue of the paper's
+  fork-join round whose fixed overhead is what VGC amortizes.  Searches
+  that only read shared state (a batch's forward and backward searches)
+  share a round.  Each job is described as ``<kernel>[+<kernel>...]/r<round>``
+  in the Spark UI and event log.
+- **Driver path** — the kernel is called directly on the same slices.
+  This is ordinary horizontal granularity control (don't distribute tiny
+  work) and is used by unit tests; **benchmarks force the Spark path for
+  every algorithm** (``spark_threshold=0``) so all competitors pay the
+  same barrier cost.
 
-``Counters.rounds`` is incremented per call on either path.
+The slice count k is ``npartitions``: 4 with a Spark session and 1
+without by default.  A round of q queries gives each query
+``max(1, k // q)`` slices, at most one per frontier row, so a round never
+needs more than k tasks.  ``Counters.rounds`` is incremented once per
+round on either path.
 """
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import types as T
 
+import repro
 from repro.core.counters import Counters
 from repro.core.csr import CSR, GraphBroadcast
 from repro.core.kernels import KERNELS, SENTINEL
 
-# kernel -> (frontier columns, candidate columns).  Every column is a long
-# except ``explored``; every kernel output also ends in ``visits``.
-COLUMNS = {
-    "sparse_reach": (("v",), ("v", "explored")),
-    "dense_reach": (("v",), ("v", "explored")),
-    "multi_reach": (("v", "s"), ("v", "s", "explored")),
-    "ldd_reach": (("v", "lab"), ("v", "lab", "explored")),
-    "lelists_round": (("v", "s"), ("v", "s")),
-    "color_max": (("v",), ("v", "lab")),
-}
+SPARK_SLICES = 4  # default k with a session: one wave of tasks on local[4]
+
+_checked_contexts: set[str] = set()  # applicationIds whose workers import repro
 
 
-def _schema(cols) -> T.StructType:
-    return T.StructType(
-        [T.StructField(c, T.BooleanType() if c == "explored" else T.LongType()) for c in cols]
-    )
+def check_workers(spark: SparkSession, tasks: int) -> None:
+    """Fail in one line unless ``tasks`` executor tasks import ``repro``
+    from the driver's file.  Runs one job per SparkContext."""
+    sc = spark.sparkContext
+    if sc.applicationId in _checked_contexts:
+        return
+
+    def where(_):
+        try:
+            import repro
+        except ImportError as e:
+            return f"{type(e).__name__}: {e}"
+        return os.path.realpath(repro.__file__)
+
+    want = os.path.realpath(repro.__file__)
+    try:
+        got = set(sc.parallelize(range(tasks), tasks).map(where).collect())
+    except Exception as e:  # a Py4J error carrying a Java stack trace
+        raise RuntimeError(f"executor import check failed: {str(e).splitlines()[0]}") from None
+    if got != {want}:
+        raise RuntimeError(f"executors do not import repro from {want}: {sorted(got - {want})[0]}")
+    _checked_contexts.add(sc.applicationId)
 
 
-def _make_mapper(bc_handle, kernel, params):
-    """Closure shipped to executors; reads the graph from the broadcast."""
+def _slices(pdf: pd.DataFrame, k: int) -> list[pd.DataFrame]:
+    """``pdf`` cut into ``min(k, rows)`` contiguous slices of near-equal
+    size; an empty frontier is one empty slice."""
+    s = max(1, min(k, len(pdf)))
+    bounds = len(pdf) * np.arange(s + 1) // s
+    return [pdf.iloc[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    def mapper(batches):
+
+def _make_task(bc_handle, kernels, params):
+    """Closure shipped to executors; reads the graph from the broadcast
+    and tags each slice's output with its query index."""
+
+    def task(items):
         g = bc_handle.value
-        for pdf in batches:
-            if len(pdf) > 0:
-                yield kernel(pdf, g, params)
+        for qi, pdf in items:
+            yield qi, kernels[qi](pdf, g, params[qi])
 
-    return mapper
+    return task
 
 
 class Engine:
@@ -72,13 +102,15 @@ class Engine:
         csr_t: CSR | None = None,
         force_spark: bool = False,
         spark_threshold: int = 1 << 30,
-        npartitions: int = 8,
+        npartitions: int | None = None,
         time_budget_s: float | None = None,
     ):
         self.spark = spark
         self.counters = counters
         self.force_spark = force_spark
         self.spark_threshold = spark_threshold
+        if npartitions is None:
+            npartitions = SPARK_SLICES if spark is not None else 1
         self.npartitions = npartitions
         self.time_budget_s = time_budget_s
         self._deadline = None
@@ -87,14 +119,18 @@ class Engine:
 
             self._deadline = time.monotonic() + time_budget_s
         self.gb = None
-        self._local_g = None
-        if spark is not None:
-            self.gb = GraphBroadcast(spark, csr, csr_t)
-            self._local_g = self.gb.local_value()
-        else:
+        self.n = csr.n
+        if spark is None:
             csr_t = csr_t if csr_t is not None else csr.transpose()
             self._local_g = (csr.indptr, csr.indices, csr_t.indptr, csr_t.indices)
-        self.n = csr.n
+            return
+        check_workers(spark, npartitions)
+        self.gb = GraphBroadcast(spark, csr, csr_t)
+        try:
+            self._local_g = self.gb.local_value()
+        except BaseException:
+            self.close()
+            raise
 
     def check_budget(self) -> None:
         if self._deadline is not None:
@@ -104,41 +140,49 @@ class Engine:
                 raise TimeoutError("engine time budget exceeded")
 
     def round(self, kernel_name: str, pdf_in: pd.DataFrame, params: dict) -> pd.DataFrame:
-        """Run one frontier round; returns candidate rows (sentinels
-        stripped, their visit counts folded into the counters)."""
+        """Run one frontier round of one query (see :meth:`run`)."""
+        return self.run([(kernel_name, pdf_in, params)])[0]
+
+    def run(self, queries: list[tuple[str, pd.DataFrame, dict]]) -> list[pd.DataFrame]:
+        """Run every ``(kernel, frontier, params)`` query in one round;
+        returns each query's candidate rows (sentinels stripped, their
+        visit counts folded into the counters)."""
         self.check_budget()
-        kernel = KERNELS[kernel_name]
         self.counters.rounds += 1
-        use_spark = self.spark is not None and (
-            self.force_spark or len(pdf_in) >= self.spark_threshold
-        )
-        if use_spark:
-            in_cols, out_cols = COLUMNS[kernel_name]
+        kernels = [KERNELS[name] for name, _, _ in queries]
+        params = [p for _, _, p in queries]
+        per = max(1, self.npartitions // len(queries))
+        items = [(qi, sl) for qi, (_, pdf, _) in enumerate(queries) for sl in _slices(pdf, per)]
+        rows = sum(len(pdf) for _, pdf, _ in queries)
+        if self.spark is not None and (self.force_spark or rows >= self.spark_threshold):
             sc = self.spark.sparkContext
             prev = sc.getLocalProperty("spark.job.description")
-            sc.setJobDescription(f"{kernel_name}/r{self.counters.rounds}")
+            names = "+".join(name for name, _, _ in queries)
+            sc.setJobDescription(f"{names}/r{self.counters.rounds}")
             try:
-                out = (
-                    self.spark.createDataFrame(pdf_in, schema=_schema(in_cols))
-                    .coalesce(self.npartitions)
-                    .mapInPandas(
-                        _make_mapper(self.gb.handle, kernel, params),
-                        schema=_schema(out_cols + ("visits",)),
-                    )
-                    .toPandas()
+                done = (
+                    sc.parallelize(items, len(items))
+                    .mapPartitions(_make_task(self.gb.handle, kernels, params))
+                    .collect()
                 )
             finally:
                 sc.setJobDescription(prev)
         else:
-            out = kernel(pdf_in, self._local_g, params)
+            done = [(qi, kernels[qi](sl, self._local_g, params[qi])) for qi, sl in items]
+        frames: list[list[pd.DataFrame]] = [[] for _ in queries]
+        for qi, out in done:
+            frames[qi].append(out)
+        return [self._strip(pd.concat(f, ignore_index=True)) for f in frames]
+
+    def _strip(self, out: pd.DataFrame) -> pd.DataFrame:
         sent = out["v"] == SENTINEL
         self.counters.edge_visits += int(out.loc[sent, "visits"].sum())
-        out = out.loc[~sent].drop(columns=["visits"]).reset_index(drop=True)
-        return out
+        return out.loc[~sent].drop(columns=["visits"]).reset_index(drop=True)
 
     def close(self) -> None:
         if self.gb is not None:
             self.gb.destroy()
+            self.gb = None
 
 
 def frontier_pdf(vs: np.ndarray) -> pd.DataFrame:

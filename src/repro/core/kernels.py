@@ -4,10 +4,10 @@ Each kernel is a pure function ``kernel(pdf_in, graph_arrays, params) ->
 pdf_out`` over numpy/pandas data.  The same function runs in two places:
 
 - driver-side, for tiny inputs (granularity cutoff), and
-- inside Spark executors via ``mapInPandas`` (see ``engine.Engine``),
-  where ``graph_arrays`` comes from a broadcast CSR and ``params`` rides
-  in the task closure.  One executor task == one "processor" of the
-  paper; one engine round == one global barrier.
+- inside Spark executors, one call per frontier slice (see
+  ``engine.Engine``), where ``graph_arrays`` comes from a broadcast CSR
+  and ``params`` rides in the task closure.  One executor task == one
+  "processor" of the paper; one engine round == one global barrier.
 
 The central routine is :func:`local_search`, the paper's tau-bounded
 *local search* (Sec. 3.1-3.2, Fig. 4), shared by single-reachability

@@ -14,6 +14,10 @@ Two sizing policies (Sec. 4.5):
 - ``"exact"`` (GBBS-style): start tiny and grow on demand, paying the
   repeated rehashing the paper's Fig. 9 green bars show.
 
+``direction="both"`` runs a batch's forward and backward searches in
+shared rounds, each with its own pair table sized by the same policy and
+its own frontier; both only read ``labels`` and ``finished``.
+
 Dense mode is deliberately absent: it is unsound for multi-reachability
 (finding one frontier in-neighbor says nothing about the other sources).
 """
@@ -34,6 +38,19 @@ class MultiReachResult:
     rounds: int
 
 
+@dataclass
+class FwBwMultiReach:
+    """The two searches of one ``direction="both"`` call."""
+
+    fw: MultiReachResult
+    bw: MultiReachResult
+
+    @property
+    def pairs_v(self) -> np.ndarray:
+        """Vertices of all pairs found, forward then backward."""
+        return np.concatenate([self.fw.pairs_v, self.bw.pairs_v])
+
+
 def multi_reach(
     engine: Engine,
     sources: np.ndarray,
@@ -45,51 +62,55 @@ def multi_reach(
     two_pass: bool = False,
     sizing: str = "heuristic",
     prev_pairs_hint: int = 0,
-) -> MultiReachResult:
+) -> MultiReachResult | FwBwMultiReach:
+    """``direction`` is ``"fwd"``, ``"bwd"`` or ``"both"``."""
     n = engine.n
     sources = np.asarray(sources, dtype=np.int64)
     sources = sources[~finished[sources]]
-    table = PairTable(n, capacity=64)
-    if sizing == "heuristic":
-        unfinished = int(n - finished.sum())
-        table.reserve(heuristic_capacity(prev_pairs_hint, unfinished))
+    dirs = ("fwd", "bwd") if direction == "both" else (direction,)
+    tables = {d: PairTable(n, capacity=64) for d in dirs}
+    frontier = dict.fromkeys(dirs, (sources, sources))
+    rounds = dict.fromkeys(dirs, 0)
+    for table in tables.values():
+        if sizing == "heuristic":
+            table.reserve(heuristic_capacity(prev_pairs_hint, int(n - finished.sum())))
+        for s in sources.tolist():
+            table.insert(s, s)
 
-    for s in sources.tolist():
-        table.insert(s, s)
-    f_v = sources.copy()
-    f_s = sources.copy()
-    rounds = 0
-    while len(f_v) > 0:
-        out = engine.round(
-            "multi_reach",
-            pair_pdf(f_v, f_s),
-            {
-                "direction": direction,
-                "tau": tau,
-                "two_pass": two_pass,
-                "labels": labels,
-                "finished": finished,
-                "table_keys": table.snapshot(),
-                "n": n,
-            },
-        )
-        rounds += 1
-        if len(out) == 0:
-            break
-        grp = out.groupby(["v", "s"])["explored"].max().reset_index()
-        nf_v: list[int] = []
-        nf_s: list[int] = []
-        for v, s, explored in zip(
-            grp["v"].tolist(), grp["s"].tolist(), grp["explored"].tolist()
-        ):
-            if table.insert(int(v), int(s)):
-                engine.counters.pair_inserts += 1
-            if not explored:
-                nf_v.append(int(v))
-                nf_s.append(int(s))
-        f_v = np.asarray(nf_v, dtype=np.int64)
-        f_s = np.asarray(nf_s, dtype=np.int64)
+    while live := [d for d in dirs if len(frontier[d][0])]:
+        queries = [
+            (
+                "multi_reach",
+                pair_pdf(*frontier[d]),
+                {
+                    "direction": d,
+                    "tau": tau,
+                    "two_pass": two_pass,
+                    "labels": labels,
+                    "finished": finished,
+                    "table_keys": tables[d].snapshot(),
+                    "n": n,
+                },
+            )
+            for d in live
+        ]
+        for d, out in zip(live, engine.run(queries)):
+            rounds[d] += 1
+            grp = out.groupby(["v", "s"])["explored"].max().reset_index()
+            nf_v: list[int] = []
+            nf_s: list[int] = []
+            for v, s, explored in zip(
+                grp["v"].tolist(), grp["s"].tolist(), grp["explored"].tolist()
+            ):
+                if tables[d].insert(int(v), int(s)):
+                    engine.counters.pair_inserts += 1
+                if not explored:
+                    nf_v.append(int(v))
+                    nf_s.append(int(s))
+            frontier[d] = (np.asarray(nf_v, dtype=np.int64), np.asarray(nf_s, dtype=np.int64))
 
-    engine.counters.table_rehash_cost += table.rehash_cost
-    pv, ps = table.pairs()
-    return MultiReachResult(pairs_v=pv, pairs_s=ps, rounds=rounds)
+    res = {}
+    for d, table in tables.items():
+        engine.counters.table_rehash_cost += table.rehash_cost
+        res[d] = MultiReachResult(*table.pairs(), rounds=rounds[d])
+    return FwBwMultiReach(res["fwd"], res["bwd"]) if direction == "both" else res[direction]

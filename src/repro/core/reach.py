@@ -12,6 +12,12 @@ State lives on the driver as numpy arrays — the shared-memory analogue —
 and every round ships a read-only snapshot to the kernel; the driver-side
 merge plays the role of the CAS on ``visit[]`` (exactly one winner per
 vertex per round, order-insensitive so results are deterministic).
+
+``direction="both"`` runs the forward and the backward search from the
+same sources in shared rounds: each keeps its own visited set, frontier
+and dense/sparse choice, and every round is one engine call with one
+query per direction still running.  Both only read ``finished`` and
+``restrict``, so each search's rounds are those it would take alone.
 """
 from __future__ import annotations
 
@@ -27,9 +33,25 @@ DENSE_DENOM = 20  # Ligra/GBBS: go dense when frontier degree sum > m/20
 @dataclass
 class ReachResult:
     visited: np.ndarray  # bool[n]
-    rounds: int
-    sparse_rounds: int
-    dense_rounds: int
+    rounds: int = 0
+    sparse_rounds: int = 0
+    dense_rounds: int = 0
+
+
+@dataclass
+class FwBwReach:
+    """The two searches of one ``direction="both"`` call."""
+
+    fw: ReachResult
+    bw: ReachResult
+
+    @property
+    def sparse_rounds(self) -> int:
+        return self.fw.sparse_rounds + self.bw.sparse_rounds
+
+    @property
+    def dense_rounds(self) -> int:
+        return self.fw.dense_rounds + self.bw.dense_rounds
 
 
 def single_reach(
@@ -42,100 +64,52 @@ def single_reach(
     dense: bool = True,
     finished: np.ndarray | None = None,
     restrict: np.ndarray | None = None,
-) -> ReachResult:
+) -> ReachResult | FwBwReach:
     """Reach everything reachable from ``sources`` (multi-source allowed;
-    all sources share one visited set — used by FW-BW/Multi-step too)."""
+    all sources share one visited set — used by FW-BW/Multi-step too).
+    ``direction`` is ``"fwd"``, ``"bwd"`` or ``"both"``."""
     n = engine.n
-    visited = np.zeros(n, dtype=bool)
     sources = np.asarray(sources, dtype=np.int64)
     if finished is not None:
         sources = sources[~finished[sources]]
-    visited[sources] = True
-    frontier = np.unique(sources)
+    indptr, _, indptr_t, _ = engine._local_g
+    dirs = ("fwd", "bwd") if direction == "both" else (direction,)
+    deg = {d: np.diff(indptr if d == "fwd" else indptr_t) for d in dirs}
+    dense_at = {d: max(1, int(deg[d].sum())) // DENSE_DENOM for d in dirs}
+    res = {d: ReachResult(np.zeros(n, dtype=bool)) for d in dirs}
+    for r in res.values():
+        r.visited[sources] = True
+    frontier = dict.fromkeys(dirs, np.unique(sources))
 
-    indptr, indices, indptr_t, indices_t = engine._local_g
-    deg = np.diff(indptr) if direction == "fwd" else np.diff(indptr_t)
-    m_dir = int(deg.sum())
-
-    rounds = sparse_rounds = dense_rounds = 0
-    while len(frontier) > 0:
-        frontier_work = int(len(frontier) + deg[frontier].sum())
-        use_dense = dense and frontier_work > max(1, m_dir) // DENSE_DENOM
-        if use_dense:
-            in_frontier = np.zeros(n, dtype=bool)
-            in_frontier[frontier] = True
-            cand = np.flatnonzero(~visited)
-            if finished is not None:
-                cand = cand[~finished[cand]]
-            out = engine.round(
-                "dense_reach",
-                frontier_pdf(cand),
-                {
-                    "direction": direction,
-                    "in_frontier": in_frontier,
-                    "finished": finished,
-                    "restrict": restrict,
-                },
-            )
-            new = np.unique(out["v"].to_numpy(dtype=np.int64)) if len(out) else np.empty(0, np.int64)
-            new = new[~visited[new]]
-            visited[new] = True
-            frontier = new
-            dense_rounds += 1
-        else:
-            out = engine.round(
-                "sparse_reach",
-                frontier_pdf(frontier),
-                {
-                    "direction": direction,
-                    "visited": visited,
-                    "tau": tau,
-                    "two_pass": two_pass,
-                    "finished": finished,
-                    "restrict": restrict,
-                },
-            )
-            if len(out):
+    while live := [d for d in dirs if len(frontier[d])]:
+        queries = []
+        for d in live:
+            visited = res[d].visited
+            work = int(len(frontier[d]) + deg[d][frontier[d]].sum())
+            if dense and work > dense_at[d]:
+                in_frontier = np.zeros(n, dtype=bool)
+                in_frontier[frontier[d]] = True
+                cand = np.flatnonzero(~visited)
+                if finished is not None:
+                    cand = cand[~finished[cand]]
+                p = {"in_frontier": in_frontier}
+                queries.append(("dense_reach", frontier_pdf(cand), p))
+            else:
+                p = {"visited": visited, "tau": tau, "two_pass": two_pass}
+                queries.append(("sparse_reach", frontier_pdf(frontier[d]), p))
+            p.update(direction=d, finished=finished, restrict=restrict)
+        for d, (kernel, _, _), out in zip(live, queries, engine.run(queries)):
+            r = res[d]
+            r.rounds += 1
+            if kernel == "dense_reach":
+                new = np.unique(out["v"].to_numpy(dtype=np.int64))
+                frontier[d] = new[~r.visited[new]]
+                r.visited[frontier[d]] = True
+                r.dense_rounds += 1
+            else:
                 grp = out.groupby("v")["explored"].max()
                 vs = grp.index.to_numpy(dtype=np.int64)
-                explored = grp.to_numpy(dtype=bool)
-                visited[vs] = True
-                frontier = vs[~explored]
-            else:
-                frontier = np.empty(0, np.int64)
-            sparse_rounds += 1
-        rounds += 1
-    return ReachResult(
-        visited=visited,
-        rounds=rounds,
-        sparse_rounds=sparse_rounds,
-        dense_rounds=dense_rounds,
-    )
-
-
-def bfs_level_count(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    sources: np.ndarray,
-    finished: np.ndarray | None = None,
-) -> int:
-    """Number of BFS levels a plain (tau=1) search would need — the
-    x-axis baseline of the paper's Fig. 10 round-reduction study.
-    Pure driver computation; does not touch the engine counters."""
-    n = len(indptr) - 1
-    visited = np.zeros(n, dtype=bool)
-    frontier = np.asarray(sources, dtype=np.int64)
-    if finished is not None:
-        frontier = frontier[~finished[frontier]]
-    visited[frontier] = True
-    levels = 0
-    while len(frontier):
-        nxt: list[int] = []
-        for v in frontier.tolist():
-            for u in indices[indptr[v] : indptr[v + 1]].tolist():
-                if (finished is None or not finished[u]) and not visited[u]:
-                    visited[u] = True
-                    nxt.append(u)
-        frontier = np.asarray(nxt, dtype=np.int64)
-        levels += 1
-    return levels
+                r.visited[vs] = True
+                frontier[d] = vs[~grp.to_numpy(dtype=bool)]
+                r.sparse_rounds += 1
+    return FwBwReach(res["fwd"], res["bwd"]) if direction == "both" else res[direction]

@@ -134,24 +134,16 @@ def bgss_scc(
         # Batch 1: single source; single-reachability with dense mode.
         s0 = int(order[0])
         with PhaseTimer(counters, "first_scc"):
-            fw = single_reach(
+            r = single_reach(
                 engine,
                 np.asarray([s0]),
-                direction="fwd",
+                direction="both",
                 tau=cfg["tau_single"],
                 two_pass=cfg["two_pass"],
                 dense=True,
                 finished=finished,
             )
-            bw = single_reach(
-                engine,
-                np.asarray([s0]),
-                direction="bwd",
-                tau=cfg["tau_single"],
-                two_pass=cfg["two_pass"],
-                dense=True,
-                finished=finished,
-            )
+            fw, bw = r.fw, r.bw
             counters.search_rounds += [fw.rounds, bw.rounds]
         with PhaseTimer(counters, "labeling"):
             out_v = np.flatnonzero(fw.visited).astype(np.int64)
@@ -172,28 +164,18 @@ def bgss_scc(
             if len(sources) == 0:
                 continue
             with PhaseTimer(counters, "multi_search"):
-                mr_fw = multi_reach(
+                mr = multi_reach(
                     engine,
                     sources,
                     labels,
                     finished,
-                    direction="fwd",
+                    direction="both",
                     tau=cfg["tau_multi"],
                     two_pass=cfg["two_pass"],
                     sizing=cfg["sizing"],
                     prev_pairs_hint=prev_pairs,
                 )
-                mr_bw = multi_reach(
-                    engine,
-                    sources,
-                    labels,
-                    finished,
-                    direction="bwd",
-                    tau=cfg["tau_multi"],
-                    two_pass=cfg["two_pass"],
-                    sizing=cfg["sizing"],
-                    prev_pairs_hint=prev_pairs,
-                )
+                mr_fw, mr_bw = mr.fw, mr.bw
                 counters.search_rounds += [mr_fw.rounds, mr_bw.rounds]
                 prev_pairs = len(mr_fw.pairs_v) + len(mr_bw.pairs_v)
             with PhaseTimer(counters, "labeling"):

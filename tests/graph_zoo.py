@@ -17,6 +17,24 @@ def random_digraph(n: int, m: int, seed: int) -> csrmod.CSR:
     return csrmod.from_arrays(n, g.integers(0, n, m), g.integers(0, n, m))
 
 
+def bfs_level_count(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> int:
+    """Number of frontiers a plain BFS from ``sources`` processes."""
+    visited = np.zeros(len(indptr) - 1, dtype=bool)
+    frontier = np.asarray(sources, dtype=np.int64)
+    visited[frontier] = True
+    levels = 0
+    while len(frontier):
+        nxt: list[int] = []
+        for v in frontier.tolist():
+            for u in indices[indptr[v] : indptr[v + 1]].tolist():
+                if not visited[u]:
+                    visited[u] = True
+                    nxt.append(u)
+        frontier = np.asarray(nxt, dtype=np.int64)
+        levels += 1
+    return levels
+
+
 def _edges(*pairs) -> tuple[np.ndarray, np.ndarray]:
     src = np.asarray([p[0] for p in pairs], dtype=np.int64)
     dst = np.asarray([p[1] for p in pairs], dtype=np.int64)

@@ -1,12 +1,15 @@
 """Engine tests: driver path vs forced-Spark path produce identical
 results; rounds and visit counters are accounted on both paths."""
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import engine as enginemod
 from repro.core.counters import Counters
+from repro.core.csr import GraphBroadcast
 from repro.core.engine import Engine, frontier_pdf, pair_pdf
 from repro.core.kernels import KERNELS
 from repro.core.pairtable import PairTable
@@ -151,34 +154,46 @@ def test_reach_spark_full_graph(spark):
     e2.close()
 
 
-@pytest.mark.spark
-def test_spark_round_is_one_job_one_stage(spark):
-    """One round is one barrier: the Spark path runs a single job with a
-    single stage (no shuffle), described as ``<kernel>/r<round>``."""
-    sc = spark.sparkContext
-    c = zoo()["lattice"]
-    eng = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0)
+def _sparse_query(n: int, direction: str, rows: int):
     params = {
-        "direction": "fwd",
-        "visited": np.zeros(c.n, dtype=bool),
+        "direction": direction,
+        "visited": np.zeros(n, dtype=bool),
         "tau": 1,
         "two_pass": False,
     }
+    return "sparse_reach", frontier_pdf(np.arange(rows)), params
+
+
+@pytest.mark.spark
+def test_spark_round_is_one_job_one_stage(spark):
+    """One round is one barrier: a fused forward + backward call runs a
+    single Spark job with a single stage (no shuffle) and at most
+    ``npartitions`` tasks, described as ``<kernels>/r<round>``; its rows
+    equal the driver path's."""
+    sc = spark.sparkContext
+    c = zoo()["lattice"]
+    queries = [_sparse_query(c.n, "fwd", 64), _sparse_query(c.n, "bwd", 64)]
+    want = Engine(None, c, Counters(), npartitions=4).run(queries)
+    eng = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0)
     group = "test-one-job-per-round"
     sc.setJobGroup(group, "one round")
     try:
-        eng.round("sparse_reach", frontier_pdf(np.arange(64)), params)
+        got = eng.run(queries)
         assert sc.getLocalProperty("spark.job.description") == "one round"
     finally:
         sc._jsc.clearJobGroup()
         eng.close()
+    for a, b in zip(want, got):
+        pd.testing.assert_frame_equal(a, b)
     sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events reach the status store
     tracker = sc.statusTracker()
     jobs = tracker.getJobIdsForGroup(group)
     assert len(jobs) == 1
-    assert len(tracker.getJobInfo(jobs[0]).stageIds) == 1
+    stages = tracker.getJobInfo(jobs[0]).stageIds
+    assert len(stages) == 1
+    assert tracker.getStageInfo(stages[0]).numTasks <= eng.npartitions
     desc = sc._jsc.sc().statusStore().job(jobs[0]).description()
-    assert desc.isDefined() and desc.get() == "sparse_reach/r1"
+    assert desc.isDefined() and desc.get() == "sparse_reach+sparse_reach/r1"
 
 
 @pytest.mark.spark
@@ -191,7 +206,52 @@ def test_engine_close_unlinks_broadcast_file(spark):
     assert len(os.listdir(tmp)) == before
 
 
-def _one_task_round(name: str):
+@pytest.mark.spark
+def test_failed_engine_init_unlinks_broadcast_file(spark, monkeypatch):
+    """An ``Engine.__init__`` that fails after broadcasting the graph
+    destroys the broadcast before raising."""
+    Engine(spark, zoo()["path"], Counters()).close()  # worker check done
+    tmp = spark.sparkContext._temp_dir
+    before = len(os.listdir(tmp))
+
+    def boom(self):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(GraphBroadcast, "local_value", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        Engine(spark, zoo()["web"], Counters(), force_spark=True)
+    assert len(os.listdir(tmp)) == before
+
+
+@pytest.mark.spark
+def test_worker_check_runs_once_per_context(spark):
+    """The executor import check is cached per SparkContext: a second
+    ``Engine`` on the same session launches no job."""
+    sc = spark.sparkContext
+    Engine(spark, zoo()["path"], Counters()).close()
+    group = "test-worker-check-once"
+    sc.setJobGroup(group, "second engine")
+    try:
+        Engine(spark, zoo()["path"], Counters()).close()
+    finally:
+        sc._jsc.clearJobGroup()
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
+
+
+@pytest.mark.spark
+def test_worker_check_names_the_executors_path(spark, monkeypatch):
+    """Executors importing ``repro`` from another file than the driver
+    fail the check in one line naming the file they got."""
+    got = os.path.realpath(enginemod.repro.__file__)
+    monkeypatch.setattr(enginemod, "_checked_contexts", set())
+    monkeypatch.setattr(enginemod, "repro", SimpleNamespace(__file__="/elsewhere/repro.py"))
+    with pytest.raises(RuntimeError) as e:
+        enginemod.check_workers(spark, 2)
+    assert got in str(e.value) and "\n" not in str(e.value)
+
+
+def _round_case(name: str):
     """A frontier and params for one round of kernel ``name`` that takes
     both the one-hop path (out-degree > tau) and the local search."""
     c = zoo_sym()["web"] if name in ("ldd_reach", "lelists_round") else zoo()["web"]
@@ -239,13 +299,15 @@ def _one_task_round(name: str):
 
 
 @pytest.mark.spark
+@pytest.mark.parametrize("k", [1, 3, 4])
 @pytest.mark.parametrize("name", list(KERNELS))
-def test_one_task_spark_round_equals_driver(spark, name):
-    """With one task the Spark path runs the kernel over the same frontier
-    as the driver call, so the rows, their order and the visit count match."""
-    c, pdf, params = _one_task_round(name)
-    e1 = Engine(None, c, Counters())
-    e2 = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0, npartitions=1)
+def test_spark_round_equals_driver_round(spark, name, k):
+    """With the same slice count k both paths run the kernel over the same
+    slices, so the rows, their order, their dtypes and the visit count
+    match."""
+    c, pdf, params = _round_case(name)
+    e1 = Engine(None, c, Counters(), npartitions=k)
+    e2 = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0, npartitions=k)
     try:
         a = e1.round(name, pdf, params)
         b = e2.round(name, pdf, params)

@@ -6,6 +6,7 @@ from repro.baselines.tarjan import tarjan_scc, scc_stats
 from repro.core import csr as csrmod
 from repro.graphs import generators as gen
 from repro.graphs.suite import lelists_suite, table2_suite, table3_suite
+from tests.graph_zoo import bfs_level_count
 
 
 def _no_self_loops_no_dups(src, dst):
@@ -68,8 +69,6 @@ def test_knn_curve_large_diameter():
     src, dst = gen.knn_curve(n, 3, seed=8)
     c = csrmod.from_arrays(n, src, dst)
     # undirected BFS depth from vertex 0
-    from repro.core.reach import bfs_level_count
-
     s = np.concatenate([src, dst])
     d = np.concatenate([dst, src])
     cu = csrmod.from_arrays(n, s, d)

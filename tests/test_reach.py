@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from repro.core import csr as csrmod
 from repro.core.counters import Counters
 from repro.core.engine import Engine
-from repro.core.reach import bfs_level_count, single_reach
-from tests.graph_zoo import ZOO_NAMES, random_digraph, zoo
+from repro.core.reach import single_reach
+from tests.graph_zoo import ZOO_NAMES, bfs_level_count, random_digraph, zoo
 
 
 def truth_reach(c, sources, direction="fwd", finished=None, restrict=None):

@@ -89,6 +89,16 @@ def test_counters_populated():
     assert len(r.counters.search_rounds) >= 2
 
 
+@pytest.mark.parametrize("name", ZOO_NAMES)
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_rounds_are_shared_fw_bw_barriers(name, variant):
+    """Each batch's forward and backward searches share rounds, so the
+    barrier count is the sum over batches of the longer search."""
+    c = bgss_scc(None, csr=zoo()[name], variant=variant).counters
+    pairs = zip(c.search_rounds[::2], c.search_rounds[1::2])
+    assert c.rounds == sum(max(fw, bw) for fw, bw in pairs)
+
+
 def test_vgc_reduces_total_rounds():
     """The headline mechanism: final uses far fewer rounds than plain on
     a large-diameter graph (paper Fig. 10: 3-200x)."""
@@ -140,7 +150,7 @@ def test_property_final_matches_tarjan(n, m, seed):
 
 @pytest.mark.spark
 def test_forced_spark_equals_driver(spark):
-    """The Spark mapInPandas path must produce the same partition as the
+    """The Spark path must produce the same partition as the
     driver path (same kernels, same merges)."""
     c = zoo()["lattice_sparse"]
     t_lab, _ = tarjan_scc(c)
