@@ -20,7 +20,6 @@ from repro.graphs.suite import table2_suite
 def get_spark() -> SparkSession:
     return (
         SparkSession.builder.appName("table2_scc")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

@@ -18,7 +18,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spark = (
         SparkSession.builder.appName("table3_cc")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

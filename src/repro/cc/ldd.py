@@ -7,7 +7,8 @@ its cluster label outward.  The paper's two optimizations map directly:
 - ``two_pass=True`` (ConnectIt/"DHS'21" baseline) re-scans frontier edges
   — the edge-revisit scheme;
 - ``tau > 1`` (ours) runs the local search so a cluster can grow several
-  hops per round, with the hash bag collecting the frontier in one pass.
+  hops per round, over the frontier's edges in one pass (the hash bag's
+  effect; the kernel's own ``seen`` dict is the next frontier).
 
 Label races are resolved deterministically by minimum source priority
 (stand-in for first-CAS-wins); a cluster is always contained in one

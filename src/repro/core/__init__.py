@@ -1,1 +1,2 @@
-"""Core contribution of the paper: VGC reachability, hash bag, BGSS SCC."""
+"""Core contribution of the paper: VGC reachability with one-pass
+(hash-bag) frontiers, BGSS SCC."""

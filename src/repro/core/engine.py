@@ -31,6 +31,7 @@ round on either path.
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pandas as pd
@@ -112,11 +113,8 @@ class Engine:
         if npartitions is None:
             npartitions = SPARK_SLICES if spark is not None else 1
         self.npartitions = npartitions
-        self.time_budget_s = time_budget_s
         self._deadline = None
         if time_budget_s is not None:
-            import time
-
             self._deadline = time.monotonic() + time_budget_s
         self.gb = None
         self.n = csr.n
@@ -133,11 +131,8 @@ class Engine:
             raise
 
     def check_budget(self) -> None:
-        if self._deadline is not None:
-            import time
-
-            if time.monotonic() > self._deadline:
-                raise TimeoutError("engine time budget exceeded")
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            raise TimeoutError("engine time budget exceeded")
 
     def round(self, kernel_name: str, pdf_in: pd.DataFrame, params: dict) -> pd.DataFrame:
         """Run one frontier round of one query (see :meth:`run`)."""

@@ -25,10 +25,11 @@ The kernels differ only in their ``admit(x, u)`` test — may edge (x, u)
 add u to the search? — and in the rows they emit.  ``tau=1`` degenerates
 to plain one-hop BFS (the paper's "plain"/GBBS setting); ``two_pass=True``
 re-scans the frontier's edges a second time, reproducing the Ligra/GBBS
-*edge-revisit* scheme that the parallel hash bag removes.  Single- and
-dense reachability collect discovered vertices through a real
-:class:`~repro.core.hashbag.HashBag` instance, so the bag sits on the hot
-path exactly where the paper puts it.
+*edge-revisit* scheme that the parallel hash bag removes.  The hash bag is
+reproduced by that effect, one pass over the frontier's edges as the
+visit counter shows, not as a data structure: a task emits the vertices
+its own ``seen`` set (or hit list) already holds, and the driver merge
+dedupes and sorts across tasks.
 
 Output convention: candidate rows plus one sentinel row with ``v == -1``
 whose ``visits`` column carries the task's edge-visit count (all other
@@ -41,7 +42,6 @@ from collections.abc import Callable
 import numpy as np
 import pandas as pd
 
-from repro.core.hashbag import HashBag
 from repro.core.pairtable import contains_static
 
 SENTINEL = -1
@@ -113,7 +113,6 @@ def k_sparse_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     restrict = p.get("restrict")
     tau = int(p["tau"])
     sources = pdf["v"].to_numpy(dtype=np.int64)
-    bag = HashBag(max(1, len(visited)), seed=0)
     seen: set[int] = set()  # task-local "my writes" view of visit[]
     explored: set[int] = set()
     requeue: list[int] = []  # partially-expanded, already-visited vertices
@@ -127,7 +126,6 @@ def k_sparse_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
         if restrict is not None and restrict[u] != restrict[x]:
             return False
         seen.add(u)
-        bag.insert(u)
         return True
 
     for v in sources.tolist():
@@ -136,12 +134,12 @@ def k_sparse_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
         explored.update(queue[:qi])
         explored.difference_update(queue[qi:])
         # Vertices visited before this round (v itself, if cut) are not in
-        # the bag, so they are re-queued explicitly.
+        # ``seen``, so they are re-queued explicitly.
         requeue += [x for x in queue[qi:] if visited[x]]
     if p.get("two_pass"):
         visits += _revisits(ip, sources)
-    vs = bag.extract_all().astype(np.int64)
-    flags = np.fromiter((u in explored for u in vs), dtype=bool, count=len(vs))
+    vs = np.fromiter(seen, dtype=np.int64, count=len(seen))
+    flags = np.fromiter((u in explored for u in seen), dtype=bool, count=len(seen))
     return _frame(
         {
             "v": np.concatenate([vs, np.asarray(requeue, dtype=np.int64)]),
@@ -166,7 +164,7 @@ def k_dense_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     finished = p.get("finished")
     restrict = p.get("restrict")
     cand = pdf["v"].to_numpy(dtype=np.int64)
-    bag = HashBag(max(1, len(in_frontier)), seed=0)
+    hits: list[int] = []
     visits = 0
     for u in cand.tolist():
         if finished is not None and finished[u]:
@@ -176,9 +174,9 @@ def k_dense_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
             if restrict is not None and restrict[w] != restrict[u]:
                 continue
             if in_frontier[w]:
-                bag.insert(u)
+                hits.append(u)
                 break  # early exit: skip the rest of u's edges
-    vs = bag.extract_all().astype(np.int64)
+    vs = np.asarray(hits, dtype=np.int64)
     return _frame({"v": vs, "explored": np.zeros(len(vs), dtype=bool)}, visits)
 
 

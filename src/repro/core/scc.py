@@ -1,11 +1,11 @@
-"""BGSS parallel SCC (Alg. 1) with VGC + hash bag reachability.
+"""BGSS parallel SCC (Alg. 1) with VGC + one-pass frontier reachability.
 
 The four variants mirror the paper's ablation (Fig. 9):
 
 - ``gbbs``  — the GBBS baseline: tau=1 plain BFS, edge-revisit two-pass
   frontier maintenance, grow-on-demand pair-table sizing;
-- ``plain`` — hash bag (single-pass) frontiers, no VGC (tau=1), Sec. 4.5
-  sizing heuristic;
+- ``plain`` — single-pass frontiers (the hash bag's effect), no VGC
+  (tau=1), Sec. 4.5 sizing heuristic;
 - ``vgc1``  — ``plain`` + local search (tau=2^9) in the *single*-
   reachability search that finds the first SCC;
 - ``final`` — local search in single- and multi-reachability (the paper's

@@ -1,8 +1,7 @@
 """Seeded synthetic analogues of the paper's graph families (DESIGN.md §4).
 
 Every generator returns ``(src, dst)`` int64 numpy arrays (deduplicated,
-no self loops) for a graph on ``n`` vertices; ``to_df`` lifts them into a
-Spark edge DataFrame.  Families:
+no self loops) for a graph on ``n`` vertices.  Families:
 
 - social  — directed RMAT power-law graphs (LJ/TW analogues): low
   diameter, one giant SCC;
@@ -20,8 +19,6 @@ Spark edge DataFrame.  Families:
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 def _dedupe(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -30,12 +27,6 @@ def _dedupe(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_max = int(max(src.max(initial=0), dst.max(initial=0))) + 1
     keys = np.unique(src * n_max + dst)
     return (keys // n_max).astype(np.int64), (keys % n_max).astype(np.int64)
-
-
-def to_df(spark: SparkSession, src: np.ndarray, dst: np.ndarray) -> DataFrame:
-    return spark.createDataFrame(
-        pd.DataFrame({"src": src.astype(np.int64), "dst": dst.astype(np.int64)})
-    )
 
 
 # -- social: RMAT ---------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Parallel LE-lists (BGSS Alg. 5) with hash-bag frontier maintenance.
+"""Parallel LE-lists (BGSS Alg. 5) with one-pass frontier maintenance.
 
 Vertices are processed in prefix-doubling batches of a random priority
 order.  Each batch runs a multi-BFS from all its sources simultaneously:
@@ -11,8 +11,8 @@ triples in priority order against a running minimum and appends the
 survivors to its LE-list; delta is updated to the new minimum.
 
 Variants: ``"parlay"`` = the ParlayLib baseline (edge-revisit two-pass
-frontier); ``"ours"`` = single-pass hash-bag frontier.  This mirrors the
-paper, where LE-lists only benefit from the hash bag, not VGC.
+frontier); ``"ours"`` = single-pass frontier, the hash bag's effect.  This
+mirrors the paper, where LE-lists only benefit from the hash bag, not VGC.
 """
 from __future__ import annotations
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core import csr as csrmod
 from repro.core.counters import Counters
-from repro.core.engine import Engine
+from repro.core.engine import Engine, frontier_pdf
+from repro.core.kernels import SENTINEL, k_dense_reach, k_sparse_reach
 from repro.core.reach import single_reach
 from tests.graph_zoo import ZOO_NAMES, bfs_level_count, random_digraph, zoo
 
@@ -140,6 +141,72 @@ def test_partial_expansion_requeue():
     c = csrmod.from_arrays(8, src, dst)
     r = single_reach(make_engine(c), np.array([0]), tau=3, dense=False)
     assert r.visited.all()
+
+
+def _one_round_setup(c, direction):
+    """Seeded frontier (always holding vertex 0), a visited superset of
+    it, a finished mask outside it, and the edge list (w, u) oriented so
+    that w in the frontier reaches u in ``direction``."""
+    rng = np.random.default_rng(0)
+    in_frontier = rng.random(c.n) < 0.5
+    in_frontier[0] = True
+    visited = in_frontier | (rng.random(c.n) < 0.2)
+    finished = ~visited & (rng.random(c.n) < 0.2)
+    src = np.repeat(np.arange(c.n, dtype=np.int64), np.diff(c.indptr))
+    w, u = (src, c.indices) if direction == "fwd" else (c.indices, src)
+    t = c.transpose()
+    g = (c.indptr, c.indices, t.indptr, t.indices)
+    return in_frontier, visited, finished, w, u, g
+
+
+def _rows(out):
+    """Candidate rows of one kernel call, without the sentinel row."""
+    return out[out["v"] != SENTINEL]
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_sparse_round_emits_each_vertex_once(name):
+    """One slice, frontier vertices sharing neighbours.  tau=1: exactly
+    the unvisited out-neighbours of the frontier, each once.  tau > m (no
+    search is ever cut): exactly the vertices reachable through unvisited
+    ones, each once and explored, with each of their edges and the
+    frontier's scanned once — the one pass the hash bag buys."""
+    c = zoo()[name]
+    deg = {"fwd": np.diff(c.indptr), "bwd": np.bincount(c.indices, minlength=c.n)}
+    for direction in ("fwd", "bwd"):
+        in_frontier, visited, _, w, u, g = _one_round_setup(c, direction)
+        hop = np.zeros(c.n, dtype=bool)
+        hop[u[in_frontier[w] & ~visited[u]]] = True
+        reached, cur = hop.copy(), hop
+        while cur.any():
+            nxt = np.zeros(c.n, dtype=bool)
+            nxt[u[cur[w]]] = True
+            cur = nxt & ~visited & ~reached
+            reached |= cur
+        full = (len(c.indices) + 1, reached, in_frontier | reached)
+        for tau, want, scanned in ((1, hop, in_frontier), full):
+            p = {"direction": direction, "visited": visited, "tau": tau, "two_pass": False}
+            out = k_sparse_reach(frontier_pdf(np.flatnonzero(in_frontier)), g, p)
+            rows = _rows(out)
+            assert len(rows) == want.sum()
+            assert np.array_equal(np.sort(rows["v"]), np.flatnonzero(want))
+            assert (rows["explored"] == (tau > 1)).all()
+            assert out["visits"].sum() == deg[direction][scanned].sum()
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_dense_round_emits_each_vertex_once(name):
+    """One slice of all unvisited candidates: exactly the unfinished ones
+    with an in-neighbour (w.r.t. the direction) in the frontier, each once."""
+    c = zoo()[name]
+    for direction in ("fwd", "bwd"):
+        in_frontier, visited, finished, w, u, g = _one_round_setup(c, direction)
+        p = {"direction": direction, "in_frontier": in_frontier, "finished": finished}
+        out = k_dense_reach(frontier_pdf(np.flatnonzero(~visited)), g, p)
+        want = np.unique(u[in_frontier[w] & ~visited[u] & ~finished[u]])
+        rows = _rows(out)
+        assert len(rows) == len(want)
+        assert np.array_equal(np.sort(rows["v"]), want)
 
 
 def test_rounds_counted_in_counters():
