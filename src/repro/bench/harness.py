@@ -7,6 +7,8 @@ if its whole answer equals the sequential oracle's: the same SCC or CC
 partition, the same LE-lists (the paper checks #SCC and |SCC_1| only).
 With ``force_spark=False`` the run gets no Spark session, so every round
 runs on the driver.
+Each row also records its host: ``cores``, ``python`` and
+``spark_version``.
 Rows are also appended as JSON lines to ``$REPRO_RESULTS`` (default
 ``bench_results.jsonl`` in the repo root) so EXPERIMENTS.md can be
 assembled from a benchmark run.
@@ -19,10 +21,12 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import pyspark
 
 from repro.baselines.ispan import ispan_scc
 from repro.baselines.multistep import multistep_scc
@@ -54,6 +58,10 @@ class RunRow:
     m: int
     n_scc: int = -1
     scc1: int = -1
+    # host context, to compare rows across machines
+    cores: int | None = os.cpu_count()
+    python: str = platform.python_version()
+    spark_version: str = pyspark.__version__
 
     def record(self) -> "RunRow":
         path = os.environ.get("REPRO_RESULTS", "bench_results.jsonl")

@@ -48,52 +48,46 @@ def ldd(
     labels = np.full(n, -1, dtype=np.int64)
     sizes = batch_sizes(n, beta)
 
-    f_v: list[int] = []
-    f_l: list[int] = []
+    f_v = np.empty(0, dtype=np.int64)
+    f_l = np.empty(0, dtype=np.int64)
     offset = 0
     bi = 0
     rounds = 0
-    while bi < len(sizes) or f_v:
+    while bi < len(sizes) or len(f_v):
         # Inject the next batch of unvisited sources (Alg. 4 line 17):
         # one batch per round, growing by ~beta.
         if bi < len(sizes):
             batch = order[offset : offset + sizes[bi]]
             offset += sizes[bi]
             bi += 1
-            for v in batch.tolist():
-                if not visited[v]:
-                    visited[v] = True
-                    labels[v] = v
-                    f_v.append(v)
-                    f_l.append(v)
-        if not f_v:
+            batch = batch[~visited[batch]]
+            visited[batch] = True
+            labels[batch] = batch
+            f_v = np.concatenate([f_v, batch])
+            f_l = np.concatenate([f_l, batch])
+        if not len(f_v):
             continue
         out = engine.round(
             "ldd_reach",
-            pd.DataFrame(
-                {"v": np.asarray(f_v, dtype=np.int64), "lab": np.asarray(f_l, dtype=np.int64)}
-            ),
+            pd.DataFrame({"v": f_v, "lab": f_l}),
             {"visited": visited, "tau": tau, "two_pass": two_pass},
         )
         rounds += 1
-        f_v, f_l = [], []
+        f_v = f_l = np.empty(0, dtype=np.int64)
         if len(out):
             out = out.assign(prio=priority[out["lab"].to_numpy(dtype=np.int64)])
             out = out.sort_values("prio", kind="stable")
+            explored_any = np.zeros(n, dtype=bool)
+            explored = out["explored"].to_numpy(dtype=bool)
+            explored_any[out["v"].to_numpy(dtype=np.int64)[explored]] = True
             winner = out.drop_duplicates("v", keep="first")
-            explored_any = out.groupby("v")["explored"].max()
-            for v, lab in zip(
-                winner["v"].tolist(), winner["lab"].tolist()
-            ):
-                if not visited[v]:
-                    visited[v] = True
-                    labels[v] = lab
-                    if not bool(explored_any[v]):
-                        f_v.append(v)
-                        f_l.append(lab)
-                else:
-                    # requeued partially-expanded vertex: continue with
-                    # its committed label.
-                    f_v.append(v)
-                    f_l.append(int(labels[v]))
+            wv = winner["v"].to_numpy(dtype=np.int64)
+            fresh = ~visited[wv]
+            visited[wv[fresh]] = True
+            labels[wv[fresh]] = winner["lab"].to_numpy(dtype=np.int64)[fresh]
+            # A fresh vertex continues only if no task finished expanding
+            # it; a requeued partially-expanded one always continues, with
+            # its committed label.
+            f_v = wv[~fresh | ~explored_any[wv]]
+            f_l = labels[f_v]
     return LDDResult(labels=labels, rounds=rounds)

@@ -1,5 +1,6 @@
 """Connectivity tests: LDD properties, LDD-UF-JTB vs union-find oracle."""
 import numpy as np
+import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from repro.cc.ldd import ldd
 from repro.core import csr as csrmod
 from repro.core.counters import Counters
 from repro.core.engine import Engine
+from repro.core.scc import batch_sizes
 from tests.graph_zoo import ZOO_NAMES, same_partition, zoo_sym
 
 
@@ -54,6 +56,72 @@ def test_ldd_labels_stay_inside_components(name, tau):
     for lab in np.unique(res.labels):
         members = np.flatnonzero(res.labels == lab)
         assert len(np.unique(truth[members])) == 1
+
+
+def _ldd_row_loop(engine, order, tau):
+    """Reference LDD that resolves each round's winners one row at a time."""
+    n = engine.n
+    priority = np.empty(n, dtype=np.int64)
+    priority[order] = np.arange(n)
+    visited = np.zeros(n, dtype=bool)
+    labels = np.full(n, -1, dtype=np.int64)
+    f_v, f_l, offset, rounds = [], [], 0, 0
+    sizes = batch_sizes(n, 1.2)
+    bi = 0
+    while bi < len(sizes) or f_v:
+        if bi < len(sizes):
+            for v in order[offset : offset + sizes[bi]].tolist():
+                if not visited[v]:
+                    visited[v] = True
+                    labels[v] = v
+                    f_v.append(v)
+                    f_l.append(v)
+            offset += sizes[bi]
+            bi += 1
+        if not f_v:
+            continue
+        params = {"visited": visited, "tau": tau, "two_pass": False}
+        out = engine.round("ldd_reach", pd.DataFrame({"v": f_v, "lab": f_l}), params)
+        rounds += 1
+        f_v, f_l = [], []
+        if len(out):
+            out = out.assign(prio=priority[out["lab"].to_numpy()])
+            out = out.sort_values("prio", kind="stable")
+            explored_any = out.groupby("v")["explored"].max()
+            winner = out.drop_duplicates("v", keep="first")
+            for v, lab in zip(winner["v"].tolist(), winner["lab"].tolist()):
+                if not visited[v]:
+                    visited[v] = True
+                    labels[v] = lab
+                    if not explored_any[v]:
+                        f_v.append(v)
+                        f_l.append(lab)
+                else:
+                    f_v.append(v)
+                    f_l.append(int(labels[v]))
+    return labels, rounds
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+@pytest.mark.parametrize("tau", [1, 8])
+@pytest.mark.parametrize("k", [1, 4])
+def test_ldd_matches_row_loop(name, tau, k):
+    """The vectorised winner resolution equals a row-by-row loop, also
+    when k slices return the same vertex from several tasks."""
+    c = zoo_sym()[name]
+    if c.n == 0:
+        return
+    order = np.random.default_rng(4).permutation(c.n).astype(np.int64)
+    e1 = Engine(None, c, Counters(), npartitions=k)
+    e2 = Engine(None, c, Counters(), npartitions=k)
+    res = ldd(e1, order, tau=tau)
+    labels, rounds = _ldd_row_loop(e2, order, tau)
+    assert np.array_equal(res.labels, labels)
+    assert (res.rounds, e1.counters.rounds, e1.counters.edge_visits) == (
+        rounds,
+        e2.counters.rounds,
+        e2.counters.edge_visits,
+    )
 
 
 def test_ldd_vgc_fewer_rounds():

@@ -1,6 +1,11 @@
 """Engine tests: driver path vs forced-Spark path produce identical
 results; rounds and visit counters are accounted on both paths."""
+import importlib
 import os
+import sys
+import zipfile
+import zipimport
+from importlib.machinery import FileFinder
 from types import SimpleNamespace
 
 import numpy as np
@@ -70,6 +75,40 @@ def test_time_budget_zero_raises():
             frontier_pdf(np.array([0])),
             {"direction": "fwd", "visited": np.zeros(6, bool), "tau": 1, "two_pass": False},
         )
+
+
+def test_task_drops_cached_zip_importers(tmp_path):
+    """An executor task ends with no ``zipimporter`` in
+    ``sys.path_importer_cache`` (the next task's
+    ``importlib.invalidate_caches()`` would re-read each archive); other
+    finders stay, and the archive still imports."""
+    archive = str(tmp_path / "mods.zip")
+    with zipfile.ZipFile(archive, "w") as z:
+        z.writestr("zip_mod_a.py", "A = 1\n")
+        z.writestr("zip_mod_b.py", "B = 2\n")
+    saved_path, saved_cache = list(sys.path), dict(sys.path_importer_cache)
+    sys.path.insert(0, archive)
+    try:
+        importlib.import_module("zip_mod_a")
+        assert isinstance(sys.path_importer_cache[archive], zipimport.zipimporter)
+        c = zoo()["path"]
+        g = Engine(None, c, Counters())._local_g
+        params = {"direction": "fwd", "visited": np.zeros(c.n, bool), "tau": 1, "two_pass": False}
+        task = enginemod._make_task(
+            SimpleNamespace(value=g), [KERNELS["sparse_reach"]], [params]
+        )
+        [(qi, out)] = list(task(iter([(0, frontier_pdf(np.array([0])))])))
+        assert qi == 0 and len(out) > 0
+        finders = sys.path_importer_cache.values()
+        assert not any(isinstance(f, zipimport.zipimporter) for f in finders)
+        assert any(isinstance(f, FileFinder) for f in finders)
+        assert importlib.import_module("zip_mod_b").__file__.startswith(archive)
+    finally:
+        sys.path[:] = saved_path
+        sys.path_importer_cache.clear()
+        sys.path_importer_cache.update(saved_cache)
+        sys.modules.pop("zip_mod_a", None)
+        sys.modules.pop("zip_mod_b", None)
 
 
 @pytest.mark.spark

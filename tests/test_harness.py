@@ -1,6 +1,12 @@
-"""Harness tests: a driver-only run launches no Spark job, and a run is
-"ok" only when its whole partition matches the sequential oracle's."""
+"""Harness tests: a driver-only run launches no Spark job, a run is
+"ok" only when its whole partition matches the sequential oracle's, and
+every recorded row carries its host context."""
+import json
+import os
+import platform
+
 import numpy as np
+import pyspark
 import pytest
 
 from repro.baselines.tarjan import canon_partition
@@ -14,7 +20,9 @@ from repro.graphs.suite import GraphSpec
 
 @pytest.fixture(autouse=True)
 def results_in_tmp(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_RESULTS", str(tmp_path / "rows.jsonl"))
+    path = tmp_path / "rows.jsonl"
+    monkeypatch.setenv("REPRO_RESULTS", str(path))
+    return path
 
 
 @pytest.mark.spark
@@ -67,3 +75,12 @@ def test_cc_gate_rejects_wrong_partition_with_right_counts(monkeypatch):
     row = harness.run_cc(None, THREE_PARTS, "ours", force_spark=False)
     assert row.n_scc == 3
     assert row.status == "wrong"
+
+
+def test_recorded_row_carries_host_context(results_in_tmp):
+    harness.run_scc(None, THREE_PARTS, "seq", force_spark=False)
+    [line] = results_in_tmp.read_text().splitlines()
+    row = json.loads(line)
+    assert row["cores"] == os.cpu_count()
+    assert row["python"] == platform.python_version()
+    assert row["spark_version"] == pyspark.__version__
