@@ -82,12 +82,9 @@ def ldd(
             explored_any[out["v"].to_numpy(dtype=np.int64)[explored]] = True
             winner = out.drop_duplicates("v", keep="first")
             wv = winner["v"].to_numpy(dtype=np.int64)
-            fresh = ~visited[wv]
-            visited[wv[fresh]] = True
-            labels[wv[fresh]] = winner["lab"].to_numpy(dtype=np.int64)[fresh]
-            # A fresh vertex continues only if no task finished expanding
-            # it; a requeued partially-expanded one always continues, with
-            # its committed label.
-            f_v = wv[~fresh | ~explored_any[wv]]
+            visited[wv] = True
+            labels[wv] = winner["lab"].to_numpy(dtype=np.int64)
+            # A vertex continues only if no task finished expanding it.
+            f_v = wv[~explored_any[wv]]
             f_l = labels[f_v]
     return LDDResult(labels=labels, rounds=rounds)

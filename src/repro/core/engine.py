@@ -39,10 +39,23 @@ it.  Each executor closure therefore ends with
 :func:`_drop_zip_importers`, so the next task on the reused worker finds
 no zip importer to refresh; an import that needs an archive later
 rebuilds its importer from ``zipimport``'s own directory cache.
+
+The JVM hands a task to its Python worker over a loopback TCP socket
+without ``TCP_NODELAY``, as two small writes: the task header, then the
+partition data.  The worker only reads, so Linux delays its ACK of the
+header by at least 40 ms, and Nagle's algorithm holds the JVM's data
+segment until that ACK arrives: every task waited ~40 ms for its first
+input row.  Each executor closure therefore starts with
+:func:`_push_acks`, which sets ``TCP_QUICKACK`` on the worker's TCP
+sockets and so sends the pending ACK at once.  It must run before the
+first input row is read; the worker's own reply re-arms delayed ACKs, so
+pushing at task end does not help.  Sessions with
+``spark.python.unix.domain.socket.enabled`` use no TCP and never stall.
 """
 from __future__ import annotations
 
 import os
+import socket
 import sys
 import time
 import zipimport
@@ -95,6 +108,25 @@ def _drop_zip_importers() -> None:
             sys.path_importer_cache.pop(path, None)
 
 
+def _push_acks() -> None:
+    """Set ``TCP_QUICKACK`` on every TCP socket of this process, which
+    sends any delayed ACK now (see the module docstring); closes or
+    changes nothing else."""
+    quickack = getattr(socket, "TCP_QUICKACK", None)
+    if quickack is None or not os.path.isdir("/proc/self/fd"):
+        return
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            s = socket.socket(fileno=int(fd))
+        except OSError:
+            continue  # not a socket, or already closed
+        try:
+            if s.family in (socket.AF_INET, socket.AF_INET6) and s.type == socket.SOCK_STREAM:
+                s.setsockopt(socket.IPPROTO_TCP, quickack, 1)
+        finally:
+            s.detach()
+
+
 def _slices(pdf: pd.DataFrame, k: int) -> list[pd.DataFrame]:
     """``pdf`` cut into ``min(k, rows)`` contiguous slices of near-equal
     size; an empty frontier is one empty slice."""
@@ -108,6 +140,7 @@ def _make_task(bc_handle, kernels, params):
     and tags each slice's output with its query index."""
 
     def task(items):
+        _push_acks()
         g = bc_handle.value
         for qi, pdf in items:
             yield qi, kernels[qi](pdf, g, params[qi])

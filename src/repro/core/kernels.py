@@ -20,6 +20,9 @@ Sec. 4.3) and LDD (:func:`k_ldd_reach`, Sec. 5.1):
   counting every neighbor visit (successful or not) and stopping at tau;
   fully-expanded vertices are *not* re-queued, while the unexpanded
   remainder of the local queue is handed back as next-round frontier.
+  The start vertex itself is always fully expanded (the budget cannot
+  run out inside its own edges), and ``admit`` only adds unvisited
+  vertices, so the remainder never holds a vertex visited before the round.
 
 The kernels differ only in their ``admit(x, u)`` test — may edge (x, u)
 add u to the search? — and in the rows they emit.  ``tau=1`` degenerates
@@ -54,9 +57,10 @@ def local_search(
 
     ``admit(x, u)`` decides whether edge (x, u) adds u to the search and
     records u if so.  Returns ``(queue, qi, visits)``: ``queue[:qi]`` were
-    fully expanded; ``queue[qi:]`` go to the next round, including ``v``
-    when its own expansion was cut.  A vertex with out-degree > tau
-    expands one hop and returns ``([v] + admitted, 1, deg)``.
+    fully expanded; ``queue[qi:]``, all admitted, go to the next round.
+    ``queue[0] == v`` and ``qi >= 1``: the budget cannot run out inside
+    v's own edges.  A vertex with out-degree > tau expands one hop and
+    returns ``([v] + admitted, 1, deg)``.
     """
     lo, hi = int(ip[v]), int(ip[v + 1])
     if hi - lo > tau:
@@ -115,7 +119,6 @@ def k_sparse_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     sources = pdf["v"].to_numpy(dtype=np.int64)
     seen: set[int] = set()  # task-local "my writes" view of visit[]
     explored: set[int] = set()
-    requeue: list[int] = []  # partially-expanded, already-visited vertices
     visits = 0
 
     def admit(x: int, u: int) -> bool:
@@ -133,20 +136,11 @@ def k_sparse_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
         visits += t
         explored.update(queue[:qi])
         explored.difference_update(queue[qi:])
-        # Vertices visited before this round (v itself, if cut) are not in
-        # ``seen``, so they are re-queued explicitly.
-        requeue += [x for x in queue[qi:] if visited[x]]
     if p.get("two_pass"):
         visits += _revisits(ip, sources)
     vs = np.fromiter(seen, dtype=np.int64, count=len(seen))
     flags = np.fromiter((u in explored for u in seen), dtype=bool, count=len(seen))
-    return _frame(
-        {
-            "v": np.concatenate([vs, np.asarray(requeue, dtype=np.int64)]),
-            "explored": np.concatenate([flags, np.zeros(len(requeue), dtype=bool)]),
-        },
-        visits,
-    )
+    return _frame({"v": vs, "explored": flags}, visits)
 
 
 def k_dense_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
@@ -216,8 +210,7 @@ def k_multi_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
         queue, qi, t = local_search(ip, ix, v, tau, admit)
         visits += t
         done = set(queue[:qi])
-        # A partially-expanded pair (v, s) itself must continue next round.
-        rows = queue[1:] if v in done else queue[1:] + [v]
+        rows = queue[1:]
         out_v += rows
         out_s += [s] * len(rows)
         out_e += [u in done for u in rows]
@@ -241,7 +234,7 @@ def k_ldd_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     Candidates (u, lab, explored); the driver resolves label races by
     minimum source priority (deterministic stand-in for first-CAS-wins)
     with a stable sort, so the row order is part of the result: ``seen``
-    in insertion order, then the requeued rows.
+    in insertion order.
     """
     ip, ix, _, _ = g
     visited = p["visited"]
@@ -250,7 +243,6 @@ def k_ldd_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     labs = pdf["lab"].to_numpy(dtype=np.int64)
     seen: dict[int, int] = {}
     explored: set[int] = set()
-    requeue: list[tuple[int, int]] = []
     visits = 0
 
     def admit(x: int, u: int) -> bool:
@@ -264,16 +256,13 @@ def k_ldd_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
         visits += t
         explored.update(queue[:qi])
         explored.difference_update(queue[qi:])
-        requeue += [(x, lab) for x in queue[qi:] if visited[x]]
     if p.get("two_pass"):
         visits += _revisits(ip, vs)
     return _frame(
         {
-            "v": np.asarray(list(seen) + [x for x, _ in requeue], dtype=np.int64),
-            "lab": np.asarray(list(seen.values()) + [l for _, l in requeue], dtype=np.int64),
-            "explored": np.asarray(
-                [u in explored for u in seen] + [False] * len(requeue), dtype=bool
-            ),
+            "v": np.asarray(list(seen), dtype=np.int64),
+            "lab": np.asarray(list(seen.values()), dtype=np.int64),
+            "explored": np.asarray([u in explored for u in seen], dtype=bool),
         },
         visits,
     )

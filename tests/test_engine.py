@@ -2,6 +2,7 @@
 results; rounds and visit counters are accounted on both paths."""
 import importlib
 import os
+import socket
 import sys
 import zipfile
 import zipimport
@@ -109,6 +110,56 @@ def test_task_drops_cached_zip_importers(tmp_path):
         sys.path_importer_cache.update(saved_cache)
         sys.modules.pop("zip_mod_a", None)
         sys.modules.pop("zip_mod_b", None)
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK")
+def test_push_acks_sets_quickack_on_tcp_sockets_only():
+    """A loopback TCP socket in delayed-ACK mode leaves ``_push_acks``
+    in quick-ACK mode; a Unix socket pair and a pipe stay open and
+    usable, and no descriptor is closed."""
+    q = socket.TCP_QUICKACK
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        client = socket.create_connection(srv.getsockname())
+        conn, _ = srv.accept()
+    u1, u2 = socket.socketpair()
+    r, w = os.pipe()
+    try:
+        conn.setsockopt(socket.IPPROTO_TCP, q, 0)
+        assert conn.getsockopt(socket.IPPROTO_TCP, q) == 0
+        fds = set(os.listdir("/proc/self/fd"))
+        enginemod._push_acks()
+        assert conn.getsockopt(socket.IPPROTO_TCP, q) == 1
+        assert fds <= set(os.listdir("/proc/self/fd"))
+        u1.sendall(b"u")
+        assert u2.recv(1) == b"u"
+        os.write(w, b"p")
+        assert os.read(r, 1) == b"p"
+        client.sendall(b"t")
+        assert conn.recv(1) == b"t"
+    finally:
+        for s in (client, conn, u1, u2):
+            s.close()
+        os.close(r)
+        os.close(w)
+
+
+def test_task_pushes_acks_before_reading_input(monkeypatch):
+    """An executor task pushes pending ACKs before it pulls its first
+    input row: the JVM's data segment is held until that ACK."""
+    pushed = []
+    monkeypatch.setattr(enginemod, "_push_acks", lambda: pushed.append(True))
+    c = zoo()["path"]
+    g = Engine(None, c, Counters())._local_g
+    params = {"direction": "fwd", "visited": np.zeros(c.n, bool), "tau": 1, "two_pass": False}
+    seen_at_first_row = []
+
+    def items():
+        seen_at_first_row.append(bool(pushed))
+        yield 0, frontier_pdf(np.array([0]))
+
+    task = enginemod._make_task(SimpleNamespace(value=g), [KERNELS["sparse_reach"]], [params])
+    assert [qi for qi, _ in task(items())] == [0]
+    assert seen_at_first_row == [True]
 
 
 @pytest.mark.spark

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core import csr as csrmod
 from repro.core.counters import Counters
 from repro.core.engine import Engine, frontier_pdf
-from repro.core.kernels import SENTINEL, k_dense_reach, k_sparse_reach
+from repro.core.kernels import SENTINEL, k_dense_reach, k_sparse_reach, local_search
 from repro.core.reach import single_reach
 from tests.graph_zoo import ZOO_NAMES, bfs_level_count, random_digraph, zoo
 
@@ -141,6 +141,34 @@ def test_partial_expansion_requeue():
     c = csrmod.from_arrays(8, src, dst)
     r = single_reach(make_engine(c), np.array([0]), tau=3, dense=False)
     assert r.visited.all()
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_local_search_fully_expands_its_start(name):
+    """The start vertex is never cut and nothing ``admit`` rejected is
+    handed back: ``queue[0] == v``, ``qi >= 1`` and ``queue[1:]`` is
+    exactly what ``admit`` accepted, in order.  The kernels emit no row
+    for a vertex visited before the round on this invariant alone."""
+    c = zoo()[name]
+    t = c.transpose()
+    rng = np.random.default_rng(1)
+    for ip, ix in ((c.indptr, c.indices), (t.indptr, t.indices)):
+        for v in range(c.n):
+            visited = rng.random(c.n) < 0.3
+            visited[v] = True
+            for tau in (1, 2, 8, 512):
+                seen, admitted = set(), []
+
+                def admit(x, u):
+                    if visited[u] or u in seen:
+                        return False
+                    seen.add(u)
+                    admitted.append(u)
+                    return True
+
+                queue, qi, _ = local_search(ip, ix, v, tau, admit)
+                assert queue[0] == v and qi >= 1
+                assert queue[1:] == admitted
 
 
 def _one_round_setup(c, direction):
