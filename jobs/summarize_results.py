@@ -28,8 +28,6 @@ def fmt(r, key="wall_s"):
 
 
 def table2(cells):
-    graphs = sorted({g for (t, g, a) in cells if t == "table2"},
-                    key=lambda g: list(cells)[0])
     order = ["SOC-LJ'", "SOC-TW'", "WEB-SD'", "WEB-CW'", "KNN-HH5'", "KNN-CH5'",
              "KNN-GL2'", "KNN-GL5'", "LAT-SQR'", "LAT-REC'", "LAT-SQRp'", "LAT-RECp'"]
     graphs = [g for g in order if ("table2", g, "ours") in cells]

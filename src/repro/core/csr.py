@@ -54,7 +54,6 @@ class GraphBroadcast:
     def __init__(self, spark: SparkSession, csr: CSR, csr_t: CSR | None = None):
         self.csr = csr
         self.csr_t = csr_t if csr_t is not None else csr.transpose()
-        self.n = csr.n
         self._bc = spark.sparkContext.broadcast(
             (csr.indptr, csr.indices, self.csr_t.indptr, self.csr_t.indices)
         )

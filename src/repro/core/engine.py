@@ -3,9 +3,11 @@
 A round takes one or more *queries* ``(kernel, frontier, params)``, each
 frontier a pandas DataFrame, runs each kernel from
 ``repro.core.kernels`` over its frontier and returns each query's
-candidate rows.  The driver cuts every frontier into contiguous slices
-and calls the kernel once per slice, so the slicing, and with it every
-task-local dedupe and counter, is the same on both execution paths:
+candidate rows.  The driver cuts every frontier's columns into
+contiguous numpy slices and calls the kernel once per slice, so the
+slicing, and with it every task-local dedupe and counter, is the same on
+both execution paths; it concatenates the slices' candidate columns in
+slice order and adds their visit counts to ``Counters.edge_visits``:
 
 - **Spark path** — the slices become
   ``sc.parallelize(slices, len(slices)).mapPartitions(...).collect()``:
@@ -67,7 +69,7 @@ from pyspark.sql import SparkSession
 import repro
 from repro.core.counters import Counters
 from repro.core.csr import CSR, GraphBroadcast
-from repro.core.kernels import KERNELS, SENTINEL
+from repro.core.kernels import KERNELS, Cols
 
 SPARK_SLICES = 4  # default k with a session: one wave of tasks on local[4]
 
@@ -127,23 +129,24 @@ def _push_acks() -> None:
             s.detach()
 
 
-def _slices(pdf: pd.DataFrame, k: int) -> list[pd.DataFrame]:
-    """``pdf`` cut into ``min(k, rows)`` contiguous slices of near-equal
-    size; an empty frontier is one empty slice."""
+def _slices(pdf: pd.DataFrame, k: int) -> list[Cols]:
+    """``pdf``'s columns cut into ``min(k, rows)`` contiguous slices of
+    near-equal size; an empty frontier is one empty slice."""
     s = max(1, min(k, len(pdf)))
     bounds = len(pdf) * np.arange(s + 1) // s
-    return [pdf.iloc[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    cols = {c: pdf[c].to_numpy() for c in pdf.columns}
+    return [{c: a[lo:hi] for c, a in cols.items()} for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _make_task(bc_handle, kernels, params):
     """Closure shipped to executors; reads the graph from the broadcast
-    and tags each slice's output with its query index."""
+    and yields ``(qi, cols, visits)`` for each slice of query ``qi``."""
 
     def task(items):
         _push_acks()
         g = bc_handle.value
-        for qi, pdf in items:
-            yield qi, kernels[qi](pdf, g, params[qi])
+        for qi, cols in items:
+            yield qi, *kernels[qi](cols, g, params[qi])
         _drop_zip_importers()
 
     return task
@@ -198,8 +201,8 @@ class Engine:
 
     def run(self, queries: list[tuple[str, pd.DataFrame, dict]]) -> list[pd.DataFrame]:
         """Run every ``(kernel, frontier, params)`` query in one round;
-        returns each query's candidate rows (sentinels stripped, their
-        visit counts folded into the counters)."""
+        returns each query's candidate rows, the slices' outputs in slice
+        order, and adds their visit counts to the counters."""
         self.check_budget()
         self.counters.rounds += 1
         kernels = [KERNELS[name] for name, _, _ in queries]
@@ -221,16 +224,14 @@ class Engine:
             finally:
                 sc.setJobDescription(prev)
         else:
-            done = [(qi, kernels[qi](sl, self._local_g, params[qi])) for qi, sl in items]
-        frames: list[list[pd.DataFrame]] = [[] for _ in queries]
-        for qi, out in done:
-            frames[qi].append(out)
-        return [self._strip(pd.concat(f, ignore_index=True)) for f in frames]
-
-    def _strip(self, out: pd.DataFrame) -> pd.DataFrame:
-        sent = out["v"] == SENTINEL
-        self.counters.edge_visits += int(out.loc[sent, "visits"].sum())
-        return out.loc[~sent].drop(columns=["visits"]).reset_index(drop=True)
+            done = [(qi, *kernels[qi](sl, self._local_g, params[qi])) for qi, sl in items]
+        parts: list[list[Cols]] = [[] for _ in queries]
+        for qi, cols, visits in done:
+            parts[qi].append(cols)
+            self.counters.edge_visits += visits
+        return [
+            pd.DataFrame({c: np.concatenate([x[c] for x in xs]) for c in xs[0]}) for xs in parts
+        ]
 
     def close(self) -> None:
         if self.gb is not None:

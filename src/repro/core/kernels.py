@@ -1,7 +1,10 @@
 """Expansion kernels: the per-round work of every traversal in this repo.
 
-Each kernel is a pure function ``kernel(pdf_in, graph_arrays, params) ->
-pdf_out`` over numpy/pandas data.  The same function runs in two places:
+Each kernel is a pure function ``kernel(cols, graph_arrays, params) ->
+(cols_out, visits)`` over numpy data: ``cols`` maps each frontier column
+to one slice of it, ``cols_out`` holds the candidate columns (``v``
+first) and ``visits`` is the slice's edge-visit count.  The same function
+runs in two places:
 
 - driver-side, for tiny inputs (granularity cutoff), and
 - inside Spark executors, one call per frontier slice (see
@@ -33,21 +36,16 @@ reproduced by that effect, one pass over the frontier's edges as the
 visit counter shows, not as a data structure: a task emits the vertices
 its own ``seen`` set (or hit list) already holds, and the driver merge
 dedupes and sorts across tasks.
-
-Output convention: candidate rows plus one sentinel row with ``v == -1``
-whose ``visits`` column carries the task's edge-visit count (all other
-rows have ``visits == 0``).
 """
 from __future__ import annotations
 
 from collections.abc import Callable
 
 import numpy as np
-import pandas as pd
 
 from repro.core.pairtable import contains_static
 
-SENTINEL = -1
+Cols = dict[str, np.ndarray]  # one slice's columns, in or out of a kernel
 
 
 def local_search(
@@ -93,17 +91,7 @@ def _revisits(ip, vs: np.ndarray) -> int:
     return int((ip[vs + 1] - ip[vs]).sum())
 
 
-def _frame(cols: dict[str, np.ndarray], visits: int) -> pd.DataFrame:
-    """Candidate columns (``v`` first) plus a ``visits`` column and the
-    sentinel row carrying the task's edge-visit count."""
-    out = {k: np.concatenate([a, np.zeros(1, a.dtype)]) for k, a in cols.items()}
-    out["v"][-1] = SENTINEL
-    out["visits"] = np.zeros(len(out["v"]), dtype=np.int64)
-    out["visits"][-1] = visits
-    return pd.DataFrame(out)
-
-
-def k_sparse_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
+def k_sparse_reach(cols: Cols, g, p) -> tuple[Cols, int]:
     """Single-reachability sparse round with VGC local search.
 
     params: direction ('fwd'|'bwd'), visited (bool[n] snapshot), tau,
@@ -116,7 +104,7 @@ def k_sparse_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     finished = p.get("finished")
     restrict = p.get("restrict")
     tau = int(p["tau"])
-    sources = pdf["v"].to_numpy(dtype=np.int64)
+    sources = cols["v"]
     seen: set[int] = set()  # task-local "my writes" view of visit[]
     explored: set[int] = set()
     visits = 0
@@ -140,10 +128,10 @@ def k_sparse_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
         visits += _revisits(ip, sources)
     vs = np.fromiter(seen, dtype=np.int64, count=len(seen))
     flags = np.fromiter((u in explored for u in seen), dtype=bool, count=len(seen))
-    return _frame({"v": vs, "explored": flags}, visits)
+    return {"v": vs, "explored": flags}, visits
 
 
-def k_dense_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
+def k_dense_reach(cols: Cols, g, p) -> tuple[Cols, int]:
     """Ligra-style dense round (Sec. 4.2): each *unvisited* vertex scans
     its in-neighbors (w.r.t. the search direction) and joins the visited
     set on the first neighbor found in the current frontier.
@@ -157,7 +145,7 @@ def k_dense_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     in_frontier = p["in_frontier"]
     finished = p.get("finished")
     restrict = p.get("restrict")
-    cand = pdf["v"].to_numpy(dtype=np.int64)
+    cand = cols["v"]
     hits: list[int] = []
     visits = 0
     for u in cand.tolist():
@@ -171,10 +159,10 @@ def k_dense_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
                 hits.append(u)
                 break  # early exit: skip the rest of u's edges
     vs = np.asarray(hits, dtype=np.int64)
-    return _frame({"v": vs, "explored": np.zeros(len(vs), dtype=bool)}, visits)
+    return {"v": vs, "explored": np.zeros(len(vs), dtype=bool)}, visits
 
 
-def k_multi_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
+def k_multi_reach(cols: Cols, g, p) -> tuple[Cols, int]:
     """Multi-reachability sparse round over (v, s) pairs (Sec. 4.3).
 
     params: direction, tau, two_pass, labels (int[n]), finished
@@ -190,8 +178,7 @@ def k_multi_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     keys = p["table_keys"]
     n = int(p["n"])
     tau = int(p["tau"])
-    vs = pdf["v"].to_numpy(dtype=np.int64)
-    ss = pdf["s"].to_numpy(dtype=np.int64)
+    vs, ss = cols["v"], cols["s"]
     seen: set[tuple[int, int]] = set()
     out_v: list[int] = []
     out_s: list[int] = []
@@ -216,17 +203,14 @@ def k_multi_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
         out_e += [u in done for u in rows]
     if p.get("two_pass"):
         visits += _revisits(ip, vs)
-    return _frame(
-        {
-            "v": np.asarray(out_v, dtype=np.int64),
-            "s": np.asarray(out_s, dtype=np.int64),
-            "explored": np.asarray(out_e, dtype=bool),
-        },
-        visits,
-    )
+    return {
+        "v": np.asarray(out_v, dtype=np.int64),
+        "s": np.asarray(out_s, dtype=np.int64),
+        "explored": np.asarray(out_e, dtype=bool),
+    }, visits
 
 
-def k_ldd_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
+def k_ldd_reach(cols: Cols, g, p) -> tuple[Cols, int]:
     """LDD round (Alg. 4 lines 12-16) with optional local search.
 
     Input rows (v, lab): frontier vertex carrying its cluster label.
@@ -239,8 +223,7 @@ def k_ldd_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     ip, ix, _, _ = g
     visited = p["visited"]
     tau = int(p["tau"])
-    vs = pdf["v"].to_numpy(dtype=np.int64)
-    labs = pdf["lab"].to_numpy(dtype=np.int64)
+    vs, labs = cols["v"], cols["lab"]
     seen: dict[int, int] = {}
     explored: set[int] = set()
     visits = 0
@@ -258,17 +241,14 @@ def k_ldd_reach(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
         explored.difference_update(queue[qi:])
     if p.get("two_pass"):
         visits += _revisits(ip, vs)
-    return _frame(
-        {
-            "v": np.asarray(list(seen), dtype=np.int64),
-            "lab": np.asarray(list(seen.values()), dtype=np.int64),
-            "explored": np.asarray([u in explored for u in seen], dtype=bool),
-        },
-        visits,
-    )
+    return {
+        "v": np.asarray(list(seen), dtype=np.int64),
+        "lab": np.asarray(list(seen.values()), dtype=np.int64),
+        "explored": np.asarray([u in explored for u in seen], dtype=bool),
+    }, visits
 
 
-def k_lelists_round(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
+def k_lelists_round(cols: Cols, g, p) -> tuple[Cols, int]:
     """One distance level of the batched multi-BFS for LE-lists (Alg. 5).
 
     VGC is *not* applicable (BFS order must be preserved — paper Sec. 5.2);
@@ -282,8 +262,7 @@ def k_lelists_round(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     d1 = int(p["d"]) + 1
     keys = p["table_keys"]
     n = int(p["n"])
-    vs = pdf["v"].to_numpy(dtype=np.int64)
-    ss = pdf["s"].to_numpy(dtype=np.int64)
+    vs, ss = cols["v"], cols["s"]
     seen: set[tuple[int, int]] = set()
     out_v: list[int] = []
     out_s: list[int] = []
@@ -300,13 +279,10 @@ def k_lelists_round(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
             out_s.append(s)
     if p.get("two_pass"):
         visits += _revisits(ip, vs)
-    return _frame(
-        {"v": np.asarray(out_v, dtype=np.int64), "s": np.asarray(out_s, dtype=np.int64)},
-        visits,
-    )
+    return {"v": np.asarray(out_v, dtype=np.int64), "s": np.asarray(out_s, dtype=np.int64)}, visits
 
 
-def k_color_max(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
+def k_color_max(cols: Cols, g, p) -> tuple[Cols, int]:
     """Multi-step coloring round: propagate max color along out-edges.
 
     params: colors (int[n]), active (bool[n]).  Input rows: vertices whose
@@ -316,7 +292,7 @@ def k_color_max(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
     indptr, indices, _, _ = g
     colors = p["colors"]
     active = p["active"]
-    vs = pdf["v"].to_numpy(dtype=np.int64)
+    vs = cols["v"]
     best: dict[int, int] = {}
     visits = 0
     for v in vs.tolist():
@@ -325,13 +301,10 @@ def k_color_max(pdf: pd.DataFrame, g, p) -> pd.DataFrame:
             visits += 1
             if active[u] and colors[u] < cv and best.get(u, -1) < cv:
                 best[u] = cv
-    return _frame(
-        {
-            "v": np.fromiter(best.keys(), dtype=np.int64, count=len(best)),
-            "lab": np.fromiter(best.values(), dtype=np.int64, count=len(best)),
-        },
-        visits,
-    )
+    return {
+        "v": np.fromiter(best.keys(), dtype=np.int64, count=len(best)),
+        "lab": np.fromiter(best.values(), dtype=np.int64, count=len(best)),
+    }, visits
 
 
 KERNELS = {

@@ -45,7 +45,7 @@ def table2_suite(scale: float = 1.0, seed: int = 7) -> list[GraphSpec]:
     """Directed graphs for the SCC table, one row per paper analogue.
 
     Default sizes (n ~ 1-4 K) were chosen so that, with every round
-    forced through a real Spark barrier (~0.25 s each), the plain-BFS
+    forced through a real Spark barrier (0.05-0.1 s on 4 cores), the plain-BFS
     baselines finish within the per-run budget on most graphs while the
     large-diameter structure (BFS depth 100+) is preserved.
     """

@@ -98,8 +98,8 @@ def test_task_drops_cached_zip_importers(tmp_path):
         task = enginemod._make_task(
             SimpleNamespace(value=g), [KERNELS["sparse_reach"]], [params]
         )
-        [(qi, out)] = list(task(iter([(0, frontier_pdf(np.array([0])))])))
-        assert qi == 0 and len(out) > 0
+        [(qi, cols, _)] = list(task(iter([(0, {"v": np.array([0])})])))
+        assert qi == 0 and len(cols["v"]) > 0
         finders = sys.path_importer_cache.values()
         assert not any(isinstance(f, zipimport.zipimporter) for f in finders)
         assert any(isinstance(f, FileFinder) for f in finders)
@@ -155,10 +155,10 @@ def test_task_pushes_acks_before_reading_input(monkeypatch):
 
     def items():
         seen_at_first_row.append(bool(pushed))
-        yield 0, frontier_pdf(np.array([0]))
+        yield 0, {"v": np.array([0])}
 
     task = enginemod._make_task(SimpleNamespace(value=g), [KERNELS["sparse_reach"]], [params])
-    assert [qi for qi, _ in task(items())] == [0]
+    assert [qi for qi, _, _ in task(items())] == [0]
     assert seen_at_first_row == [True]
 
 
@@ -406,3 +406,17 @@ def test_spark_round_equals_driver_round(spark, name, k):
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b)
     assert e1.counters.edge_visits == e2.counters.edge_visits
+
+
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_round_concatenates_its_slices(name):
+    """A round's frame is the kernel's output on each slice, concatenated
+    in slice order, and its visit count is the sum of the slices'."""
+    c, pdf, params = _round_case(name)
+    eng = Engine(None, c, Counters(), npartitions=3)
+    g = eng._local_g
+    outs = [KERNELS[name](sl, g, params) for sl in enginemod._slices(pdf, 3)]
+    want = pd.concat([pd.DataFrame(o) for o, _ in outs], ignore_index=True)
+    pd.testing.assert_frame_equal(eng.round(name, pdf, params), want)
+    assert len(outs) == 3 and len(want) > 0
+    assert eng.counters.edge_visits == sum(v for _, v in outs)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core import csr as csrmod
 from repro.core.counters import Counters
-from repro.core.engine import Engine, frontier_pdf
-from repro.core.kernels import SENTINEL, k_dense_reach, k_sparse_reach, local_search
+from repro.core.engine import Engine
+from repro.core.kernels import k_dense_reach, k_sparse_reach, local_search
 from repro.core.reach import single_reach
 from tests.graph_zoo import ZOO_NAMES, bfs_level_count, random_digraph, zoo
 
@@ -130,12 +130,9 @@ def test_two_pass_doubles_edge_visits():
 
 
 def test_partial_expansion_requeue():
-    """tau smaller than a hub's degree: the hub is re-queued and the
-    search still completes."""
-    c = zoo()["star_out"]  # 0 -> 1..8
-    # star center has deg 8 > tau=1 -> standard path; use a custom graph:
-    # one vertex with 6 out-edges reached through a path so it enters a
-    # local search with a small budget via its parent.
+    """0 -> 1 -> 2..7 with tau=3: the local search from 0 runs out of
+    budget part-way through vertex 1's edges, so vertex 1 is handed back
+    as next-round frontier, and the search still completes."""
     src = np.array([0, 1, 1, 1, 1, 1, 1])
     dst = np.array([1, 2, 3, 4, 5, 6, 7])
     c = csrmod.from_arrays(8, src, dst)
@@ -187,11 +184,6 @@ def _one_round_setup(c, direction):
     return in_frontier, visited, finished, w, u, g
 
 
-def _rows(out):
-    """Candidate rows of one kernel call, without the sentinel row."""
-    return out[out["v"] != SENTINEL]
-
-
 @pytest.mark.parametrize("name", ZOO_NAMES)
 def test_sparse_round_emits_each_vertex_once(name):
     """One slice, frontier vertices sharing neighbours.  tau=1: exactly
@@ -214,12 +206,11 @@ def test_sparse_round_emits_each_vertex_once(name):
         full = (len(c.indices) + 1, reached, in_frontier | reached)
         for tau, want, scanned in ((1, hop, in_frontier), full):
             p = {"direction": direction, "visited": visited, "tau": tau, "two_pass": False}
-            out = k_sparse_reach(frontier_pdf(np.flatnonzero(in_frontier)), g, p)
-            rows = _rows(out)
-            assert len(rows) == want.sum()
+            rows, visits = k_sparse_reach({"v": np.flatnonzero(in_frontier)}, g, p)
+            assert len(rows["v"]) == want.sum()
             assert np.array_equal(np.sort(rows["v"]), np.flatnonzero(want))
             assert (rows["explored"] == (tau > 1)).all()
-            assert out["visits"].sum() == deg[direction][scanned].sum()
+            assert visits == deg[direction][scanned].sum()
 
 
 @pytest.mark.parametrize("name", ZOO_NAMES)
@@ -230,10 +221,9 @@ def test_dense_round_emits_each_vertex_once(name):
     for direction in ("fwd", "bwd"):
         in_frontier, visited, finished, w, u, g = _one_round_setup(c, direction)
         p = {"direction": direction, "in_frontier": in_frontier, "finished": finished}
-        out = k_dense_reach(frontier_pdf(np.flatnonzero(~visited)), g, p)
+        rows, _ = k_dense_reach({"v": np.flatnonzero(~visited)}, g, p)
         want = np.unique(u[in_frontier[w] & ~visited[u] & ~finished[u]])
-        rows = _rows(out)
-        assert len(rows) == len(want)
+        assert len(rows["v"]) == len(want)
         assert np.array_equal(np.sort(rows["v"]), want)
 
 
