@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.baselines.seq_cc import UnionFind
@@ -45,10 +44,13 @@ class CCResult:
 
 def cross_cluster_edges_np(
     src: np.ndarray, dst: np.ndarray, labels: np.ndarray
-) -> pd.DataFrame:
-    la, lb = labels[src], labels[dst]
-    keep = la != lb
-    return pd.DataFrame({"la": la[keep], "lb": lb[keep]}).drop_duplicates()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct cluster-label pairs ``(la, lb)`` of the edges that cross
+    clusters, in order of first appearance; labels are ids >= 0."""
+    keep = labels[src] != labels[dst]
+    la, lb = labels[src[keep]], labels[dst[keep]]
+    first = np.sort(np.unique(la * (labels.max(initial=0) + 1) + lb, return_index=True)[1])
+    return la[first], lb[first]
 
 
 def ldd_uf_jtb(
@@ -84,13 +86,12 @@ def ldd_uf_jtb(
             res = ldd(engine, order, beta=beta, tau=cfg["tau"], two_pass=cfg["two_pass"])
         with PhaseTimer(counters, "union_find"):
             src = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
-            cross = cross_cluster_edges_np(src, csr.indices, res.labels)
+            la, lb = cross_cluster_edges_np(src, csr.indices, res.labels)
             uf = UnionFind(n)
-            for a, b in zip(cross["la"].tolist(), cross["lb"].tolist()):
-                uf.union(int(a), int(b))
-            labels = np.fromiter(
-                (uf.find(int(l)) for l in res.labels), dtype=np.int64, count=n
-            )
+            for a, b in zip(la.tolist(), lb.tolist()):
+                uf.union(a, b)
+            clusters, of = np.unique(res.labels, return_inverse=True)
+            labels = np.array([uf.find(c) for c in clusters.tolist()], dtype=np.int64)[of]
         return CCResult(labels=labels, counters=counters, ldd_rounds=res.rounds).finalize()
     finally:
         engine.close()

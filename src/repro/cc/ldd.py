@@ -75,16 +75,14 @@ def ldd(
         rounds += 1
         f_v = f_l = np.empty(0, dtype=np.int64)
         if len(out):
-            out = out.assign(prio=priority[out["lab"].to_numpy(dtype=np.int64)])
-            out = out.sort_values("prio", kind="stable")
-            explored_any = np.zeros(n, dtype=bool)
-            explored = out["explored"].to_numpy(dtype=bool)
-            explored_any[out["v"].to_numpy(dtype=np.int64)[explored]] = True
-            winner = out.drop_duplicates("v", keep="first")
-            wv = winner["v"].to_numpy(dtype=np.int64)
+            v, lab, explored = (out[c].to_numpy() for c in ("v", "lab", "explored"))
+            by_prio = np.argsort(priority[lab], kind="stable")
+            # First row of each vertex in priority order, kept in that order.
+            first = by_prio[np.sort(np.unique(v[by_prio], return_index=True)[1])]
+            wv = v[first]
             visited[wv] = True
-            labels[wv] = winner["lab"].to_numpy(dtype=np.int64)
+            labels[wv] = lab[first]
             # A vertex continues only if no task finished expanding it.
-            f_v = wv[~explored_any[wv]]
+            f_v = wv[~np.isin(wv, v[explored])]
             f_l = labels[f_v]
     return LDDResult(labels=labels, rounds=rounds)

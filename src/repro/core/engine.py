@@ -247,3 +247,9 @@ def pair_pdf(vs: np.ndarray, ss: np.ndarray) -> pd.DataFrame:
     return pd.DataFrame(
         {"v": np.asarray(vs, dtype=np.int64), "s": np.asarray(ss, dtype=np.int64)}
     )
+
+
+def merge_explored(keys: np.ndarray, explored: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``keys`` ascending, each flagged if any of its rows was explored."""
+    uk, inv = np.unique(keys, return_inverse=True)
+    return uk, np.bincount(inv[explored], minlength=len(uk)) > 0

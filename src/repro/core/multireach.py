@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.engine import Engine, pair_pdf
+from repro.core.engine import Engine, merge_explored, pair_pdf
 from repro.core.pairtable import PairTable, heuristic_capacity
 
 
@@ -96,18 +96,11 @@ def multi_reach(
         ]
         for d, out in zip(live, engine.run(queries)):
             rounds[d] += 1
-            grp = out.groupby(["v", "s"])["explored"].max().reset_index()
-            nf_v: list[int] = []
-            nf_s: list[int] = []
-            for v, s, explored in zip(
-                grp["v"].tolist(), grp["s"].tolist(), grp["explored"].tolist()
-            ):
-                if tables[d].insert(int(v), int(s)):
-                    engine.counters.pair_inserts += 1
-                if not explored:
-                    nf_v.append(int(v))
-                    nf_s.append(int(s))
-            frontier[d] = (np.asarray(nf_v, dtype=np.int64), np.asarray(nf_s, dtype=np.int64))
+            v, s, explored = (out[c].to_numpy() for c in ("v", "s", "explored"))
+            keys, explored = merge_explored(v * n + s, explored)
+            vs, ss = keys // n, keys % n  # ascending (v, s): fixes the next round's slicing
+            engine.counters.pair_inserts += sum(map(tables[d].insert, vs.tolist(), ss.tolist()))
+            frontier[d] = (vs[~explored], ss[~explored])
 
     res = {}
     for d, table in tables.items():

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.engine import Engine, frontier_pdf
+from repro.core.engine import Engine, frontier_pdf, merge_explored
 
 DENSE_DENOM = 20  # Ligra/GBBS: go dense when frontier degree sum > m/20
 
@@ -107,9 +107,8 @@ def single_reach(
                 r.visited[frontier[d]] = True
                 r.dense_rounds += 1
             else:
-                grp = out.groupby("v")["explored"].max()
-                vs = grp.index.to_numpy(dtype=np.int64)
+                vs, explored = merge_explored(out["v"].to_numpy(), out["explored"].to_numpy())
                 r.visited[vs] = True
-                frontier[d] = vs[~grp.to_numpy(dtype=bool)]
+                frontier[d] = vs[~explored]
                 r.sparse_rounds += 1
     return FwBwReach(res["fwd"], res["bwd"]) if direction == "both" else res[direction]

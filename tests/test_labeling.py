@@ -1,8 +1,14 @@
-"""BGSS labeling tests: the pandas labeling, with its SCC-detection join
-checked against Python sets."""
+"""BGSS labeling tests: the numpy labeling, with its SCC detection
+checked against Python sets and its signatures against the blake2b /
+sorted-tuple signatures it replaced."""
+import hashlib
+from collections import defaultdict
+
 import numpy as np
+import pytest
 
 from repro.core.labeling import label_batch
+from tests.graph_zoo import same_partition
 
 
 def _pairs(*pairs):
@@ -48,19 +54,14 @@ def test_same_signature_keeps_same_label():
 
 
 def test_refinement_only_splits():
-    """Vertices with different old labels never merge."""
-    pin = _pairs((0, 9), (1, 9))
-    pout = _pairs((0, 9), (1, 9))
-    labels = np.array([-1, -2, -1, -2], dtype=np.int64)
-    finished = np.zeros(4, dtype=bool)
-    # 0 and 1 become finished (same SCC as 9? both in in&out) -> merged is
-    # fine for finished; test unfinished case instead:
-    pin2 = _pairs((2, 8),)
-    pout2 = _pairs((3, 8),)
-    labels2 = np.array([-1, -2, -5, -6], dtype=np.int64)
-    finished2 = np.zeros(4, dtype=bool)
-    label_batch(pin2, pout2, labels2, finished2)
-    assert labels2[2] != labels2[3]
+    """Vertices with the same reachability but different old labels never
+    merge; with the same old label they keep sharing one."""
+    pin = _pairs((1, 0), (2, 0), (3, 0))
+    labels = np.array([0, -1, -2, -1], dtype=np.int64)
+    finished = np.array([True, False, False, False])
+    label_batch(pin, _pairs(), labels, finished)
+    assert labels[1] == labels[3] != labels[2]
+    assert (labels[1:] < 0).all()
 
 
 def test_empty_batch_is_noop():
@@ -89,3 +90,67 @@ def test_scc_detection_oracle():
     assert set(np.flatnonzero(finished).tolist()) == set(want)
     assert {v: int(labels[v]) for v in want} == want
     assert (labels[~finished] < 0).all()
+
+
+def _sig_hash(old_label: int, r_in: tuple, r_out: tuple) -> int:
+    h = hashlib.blake2b(repr((int(old_label), r_in, r_out)).encode(), digest_size=8)
+    return -(int.from_bytes(h.digest(), "big") >> 1) - 1
+
+
+def _label_batch_ref(pairs_in, pairs_out, labels, finished) -> int:
+    """The earlier labeling: finish on the in/out intersection with the
+    largest source, then a blake2b hash of (old label, sorted R_in,
+    sorted R_out) for every other touched vertex."""
+    r_in, r_out = defaultdict(list), defaultdict(list)
+    for (vs, ss), r in ((pairs_in, r_in), (pairs_out, r_out)):
+        for v, s in zip(vs.tolist(), ss.tolist()):
+            r[v].append(s)
+    n_new = 0
+    for v in set(r_in) & set(r_out):
+        both = set(r_in[v]) & set(r_out[v])
+        if both:
+            n_new += not finished[v]
+            finished[v] = True
+            labels[v] = max(both)
+    for v in set(r_in) | set(r_out):
+        if not finished[v]:
+            labels[v] = _sig_hash(labels[v], tuple(sorted(r_in[v])), tuple(sorted(r_out[v])))
+    return n_new
+
+
+def _random_batch(g, n=80, n_src=3):
+    """Unique pair sets over few sources (so many vertices share their
+    R_in/R_out), two old labels, and some vertices finished before."""
+    sources = g.choice(n, n_src, replace=False)
+
+    def pairs(k):
+        key = g.choice(n * n_src, k, replace=False)
+        return key // n_src, sources[key % n_src]
+
+    finished = g.random(n) < 0.2
+    labels = np.where(finished, np.arange(n), g.integers(-3, -1, n, endpoint=True))
+    return pairs(g.integers(0, 2 * n)), pairs(g.integers(0, 2 * n)), labels, finished
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_same_partition_as_blake2b_signatures(seed):
+    g = np.random.default_rng(seed)
+    pin, pout, labels, finished = _random_batch(g)
+    got_l, got_f = labels.copy(), finished.copy()
+    want_l, want_f = labels.copy(), finished.copy()
+    n_new = label_batch(pin, pout, got_l, got_f)
+    assert n_new == _label_batch_ref(pin, pout, want_l, want_f)
+    assert np.array_equal(got_f, want_f)
+    assert np.array_equal(got_l[got_f], want_l[want_f])
+    assert same_partition(got_l[~got_f], want_l[~want_f])
+    assert (got_l[~got_f] < 0).all()
+    # The pair order does not matter.
+    perm_in, perm_out = g.permutation(len(pin[0])), g.permutation(len(pout[0]))
+    shuf_l, shuf_f = labels.copy(), finished.copy()
+    label_batch(
+        (pin[0][perm_in], pin[1][perm_in]),
+        (pout[0][perm_out], pout[1][perm_out]),
+        shuf_l,
+        shuf_f,
+    )
+    assert np.array_equal(shuf_l, got_l) and np.array_equal(shuf_f, got_f)
