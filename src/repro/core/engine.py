@@ -10,8 +10,8 @@ both execution paths; it concatenates the slices' candidate columns in
 slice order and adds their visit counts to ``Counters.edge_visits``:
 
 - **Spark path** — the slices become
-  ``sc.parallelize(slices, len(slices)).mapPartitions(...).collect()``:
-  one Spark job with one stage and one task per slice, the graph read
+  ``sc.parallelize(slices, k).mapPartitions(...).collect()``:
+  one Spark job with one stage and at most k tasks, the graph read
   from a broadcast variable and each query's params riding in the task
   closure.  One round is exactly one barrier, the analogue of the paper's
   fork-join round whose fixed overhead is what VGC amortizes.  Searches
@@ -24,11 +24,24 @@ slice order and adds their visit counts to ``Counters.edge_visits``:
   every algorithm** (``spark_threshold=0``) so all competitors pay the
   same barrier cost.
 
-The slice count k is ``npartitions``: 4 with a Spark session and 1
-without by default.  A round of q queries gives each query
-``max(1, k // q)`` slices, at most one per frontier row, so a round never
-needs more than k tasks.  ``Counters.rounds`` is incremented once per
-round on either path.
+The slice count k is sized to the round's work, by one rule on both
+paths: ``k = clamp(ceil(work / GRAIN), 1, npartitions)``, with
+``npartitions`` defaulting to ``SPARK_SLICES`` with or without a session.
+``work`` estimates the round's edge visits from this ``Engine``'s
+previous round of the same kernel: that round's visits, scaled by the
+growth of the frontier's rows since, at most ``MAX_GROWTH`` times (before
+a kernel's first round, its rows).  Under VGC a row's visits differ by
+about 60× between kernels and fall as a search fills its part of the
+graph, so a frontier's rows or degree sum would mis-size a round; and a
+rate measured on a few rows, such as the one-source round that starts
+LDD, would overshoot a frontier a hundred times larger by 25-60×, hence the
+cap.  The estimate is a pure function of the inputs and of earlier
+counts, never of timing, so the slicing and every counter are the same
+on both paths and on any host.  A round of q queries gives each query
+``max(1, k // q)`` slices, at most one per frontier row, and runs as
+``min(k, slices)`` tasks: a fused forward + backward round of small
+frontiers is one task that runs both queries' slices.
+``Counters.rounds`` is incremented once per round on either path.
 
 Python task set-up, not scheduling or data movement, can dominate the
 fixed cost of a Spark round.  Before every task PySpark's worker calls
@@ -56,6 +69,7 @@ pushing at task end does not help.  Sessions with
 """
 from __future__ import annotations
 
+import math
 import os
 import socket
 import sys
@@ -71,7 +85,12 @@ from repro.core.counters import Counters
 from repro.core.csr import CSR, GraphBroadcast
 from repro.core.kernels import KERNELS, Cols
 
-SPARK_SLICES = 4  # default k with a session: one wave of tasks on local[4]
+SPARK_SLICES = 4  # default cap on k: one wave of tasks on local[4]
+# Estimated edge visits per task (see the module docstring and
+# BENCH_work_sized_rounds.json for its calibration on a 4-core host).
+GRAIN = 50_000
+# The most a kernel's previous round's visits are scaled up by frontier growth.
+MAX_GROWTH = 4
 
 _checked_contexts: set[str] = set()  # applicationIds whose workers import repro
 
@@ -138,6 +157,14 @@ def _slices(pdf: pd.DataFrame, k: int) -> list[Cols]:
     return [{c: a[lo:hi] for c, a in cols.items()} for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
+def _rows_by_kernel(queries) -> dict[str, int]:
+    """Frontier rows per kernel name over a round's queries."""
+    rows: dict[str, int] = {}
+    for name, pdf, _ in queries:
+        rows[name] = rows.get(name, 0) + len(pdf)
+    return rows
+
+
 def _make_task(bc_handle, kernels, params):
     """Closure shipped to executors; reads the graph from the broadcast
     and yields ``(qi, cols, visits)`` for each slice of query ``qi``."""
@@ -171,9 +198,8 @@ class Engine:
         self.counters = counters
         self.force_spark = force_spark
         self.spark_threshold = spark_threshold
-        if npartitions is None:
-            npartitions = SPARK_SLICES if spark is not None else 1
-        self.npartitions = npartitions
+        self.npartitions = SPARK_SLICES if npartitions is None else npartitions
+        self._last: dict[str, tuple[int, int]] = {}  # kernel -> (rows, visits), last round
         self._deadline = None
         if time_budget_s is not None:
             self._deadline = time.monotonic() + time_budget_s
@@ -183,7 +209,7 @@ class Engine:
             csr_t = csr_t if csr_t is not None else csr.transpose()
             self._local_g = (csr.indptr, csr.indices, csr_t.indptr, csr_t.indices)
             return
-        check_workers(spark, npartitions)
+        check_workers(spark, self.npartitions)
         self.gb = GraphBroadcast(spark, csr, csr_t)
         try:
             self._local_g = self.gb.local_value()
@@ -199,6 +225,16 @@ class Engine:
         """Run one frontier round of one query (see :meth:`run`)."""
         return self.run([(kernel_name, pdf_in, params)])[0]
 
+    def slice_count(self, queries: list[tuple[str, pd.DataFrame, dict]]) -> int:
+        """The round's task count k: its estimated edge visits over
+        ``GRAIN``, at least 1 and at most ``npartitions`` (see the module
+        docstring)."""
+        work = 0.0
+        for name, rows in _rows_by_kernel(queries).items():
+            last = self._last.get(name)
+            work += rows if last is None else last[1] * min(rows / last[0], MAX_GROWTH)
+        return min(self.npartitions, max(1, math.ceil(work / GRAIN)))
+
     def run(self, queries: list[tuple[str, pd.DataFrame, dict]]) -> list[pd.DataFrame]:
         """Run every ``(kernel, frontier, params)`` query in one round;
         returns each query's candidate rows, the slices' outputs in slice
@@ -207,7 +243,8 @@ class Engine:
         self.counters.rounds += 1
         kernels = [KERNELS[name] for name, _, _ in queries]
         params = [p for _, _, p in queries]
-        per = max(1, self.npartitions // len(queries))
+        k = self.slice_count(queries)
+        per = max(1, k // len(queries))
         items = [(qi, sl) for qi, (_, pdf, _) in enumerate(queries) for sl in _slices(pdf, per)]
         rows = sum(len(pdf) for _, pdf, _ in queries)
         if self.spark is not None and (self.force_spark or rows >= self.spark_threshold):
@@ -217,7 +254,7 @@ class Engine:
             sc.setJobDescription(f"{names}/r{self.counters.rounds}")
             try:
                 done = (
-                    sc.parallelize(items, len(items))
+                    sc.parallelize(items, min(k, len(items)))
                     .mapPartitions(_make_task(self.gb.handle, kernels, params))
                     .collect()
                 )
@@ -226,9 +263,13 @@ class Engine:
         else:
             done = [(qi, *kernels[qi](sl, self._local_g, params[qi])) for qi, sl in items]
         parts: list[list[Cols]] = [[] for _ in queries]
-        for qi, cols, visits in done:
+        kernel_rows = _rows_by_kernel(queries)
+        visits = dict.fromkeys(kernel_rows, 0)
+        for qi, cols, v in done:
             parts[qi].append(cols)
-            self.counters.edge_visits += visits
+            visits[queries[qi][0]] += v
+        self.counters.edge_visits += sum(visits.values())
+        self._last.update((name, (r, visits[name])) for name, r in kernel_rows.items() if r)
         return [
             pd.DataFrame({c: np.concatenate([x[c] for x in xs]) for c in xs[0]}) for xs in parts
         ]

@@ -1,6 +1,7 @@
 """Engine tests: driver path vs forced-Spark path produce identical
 results; rounds and visit counters are accounted on both paths."""
 import importlib
+import math
 import os
 import socket
 import sys
@@ -13,10 +14,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.cc.ldd import ldd
 from repro.core import engine as enginemod
 from repro.core.counters import Counters
 from repro.core.csr import GraphBroadcast
-from repro.core.engine import Engine, frontier_pdf, pair_pdf
+from repro.core.engine import Engine, check_workers, frontier_pdf, pair_pdf
 from repro.core.kernels import KERNELS
 from repro.core.pairtable import PairTable
 from repro.core.reach import single_reach
@@ -254,16 +256,111 @@ def _sparse_query(n: int, direction: str, rows: int):
     return "sparse_reach", frontier_pdf(np.arange(rows)), params
 
 
+def test_slice_count_rule(monkeypatch):
+    """k = clamp(ceil(work / GRAIN), 1, npartitions): 1 below GRAIN,
+    growing with the estimated work, capped at ``npartitions``.  Before a
+    kernel's first round the estimate is its rows; after it, that round's
+    visits scaled by the rows' growth, at most ``MAX_GROWTH`` times."""
+    c = zoo()["lattice"]
+    eng = Engine(None, c, Counters())
+    assert eng.npartitions == enginemod.SPARK_SLICES
+    fwd = lambda rows: _sparse_query(c.n, "fwd", rows)  # noqa: E731
+    assert eng.slice_count([fwd(c.n)]) == 1  # c.n < GRAIN
+    monkeypatch.setattr(enginemod, "GRAIN", 10)
+    assert [eng.slice_count([fwd(r)]) for r in (1, 10, 11, 20, 21, 30, 31, 40, 64)] == [
+        1, 1, 2, 2, 3, 3, 4, 4, 4,
+    ]
+    assert eng.slice_count([fwd(11), _sparse_query(c.n, "bwd", 10)]) == 3
+    assert Engine(None, c, Counters(), npartitions=2).slice_count([fwd(64)]) == 2
+    wide = Engine(None, c, Counters(), npartitions=64)
+    wide.run([fwd(4)])  # one slice of four rows
+    visits = wide.counters.edge_visits
+    assert visits > 4
+    for rows in (1, 4, 8, 16, 64):
+        want = math.ceil(visits * min(rows / 4, enginemod.MAX_GROWTH) / 10)
+        assert wide.slice_count([fwd(rows)]) == want
+    assert wide.slice_count([("dense_reach", frontier_pdf(np.arange(25)), {})]) == 3
+
+
+def test_slice_count_repeats_exactly(monkeypatch):
+    """Two engines given the same rounds choose the same k every round and
+    count the same visits: the rule reads counts, never timing."""
+    monkeypatch.setattr(enginemod, "GRAIN", 8)
+    c = zoo_sym()["web"]
+    order = np.random.default_rng(5).permutation(c.n).astype(np.int64)
+    ks = []
+    for _ in range(2):
+        eng = Engine(None, c, Counters())
+        seen = []
+        monkeypatch.setattr(eng, "slice_count", _recording(eng.slice_count, seen))
+        ldd(eng, order, tau=8)
+        ks.append((seen, eng.counters.edge_visits))
+    assert ks[0] == ks[1]
+    assert {1, 4} <= set(ks[0][0])
+
+
+def _recording(fn, out: list):
+    def wrapped(*a):
+        out.append(fn(*a))
+        return out[-1]
+
+    return wrapped
+
+
+@pytest.mark.spark
+def test_slice_count_same_on_both_paths(spark, monkeypatch):
+    """The Spark path and the driver path choose the same k in every round
+    of one search, with the same default cap, so every counter and row
+    matches."""
+    monkeypatch.setattr(enginemod, "GRAIN", 8)
+    c = zoo_sym()["web"]
+    order = np.random.default_rng(5).permutation(c.n).astype(np.int64)
+    runs = []
+    for eng in (
+        Engine(None, c, Counters()),
+        Engine(spark, c, Counters(), force_spark=True, spark_threshold=0),
+    ):
+        seen = []
+        monkeypatch.setattr(eng, "slice_count", _recording(eng.slice_count, seen))
+        try:
+            labels = ldd(eng, order, tau=8).labels.tolist()
+        finally:
+            eng.close()
+        runs.append((eng.npartitions, seen, eng.counters.rounds, eng.counters.edge_visits, labels))
+    assert runs[0] == runs[1]
+    assert {1, 4} <= set(runs[0][1])
+
+
+@pytest.mark.spark
+def test_engine_warms_spark_slices_workers(spark, monkeypatch):
+    """``Engine`` checks ``SPARK_SLICES`` workers even though its small
+    rounds run one task: a later round can land on any of them, and a
+    worker that has not imported ``repro.core.engine`` makes it slow."""
+    tasks = []
+    monkeypatch.setattr(
+        enginemod, "check_workers", lambda s, n: tasks.append(n) or check_workers(s, n)
+    )
+    c = zoo()["lattice"]
+    eng = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0)
+    try:
+        query = [_sparse_query(c.n, "fwd", 8)]
+        assert eng.slice_count(query) == 1
+        eng.run(query)
+    finally:
+        eng.close()
+    assert tasks == [enginemod.SPARK_SLICES]
+
+
 @pytest.mark.spark
 def test_spark_round_is_one_job_one_stage(spark):
     """One round is one barrier: a fused forward + backward call runs a
-    single Spark job with a single stage (no shuffle) and at most
-    ``npartitions`` tasks, described as ``<kernels>/r<round>``; its rows
-    equal the driver path's."""
+    single Spark job with a single stage (no shuffle), described as
+    ``<kernels>/r<round>``; its small frontiers make it exactly one task,
+    and its rows equal the driver path's."""
     sc = spark.sparkContext
     c = zoo()["lattice"]
     queries = [_sparse_query(c.n, "fwd", 64), _sparse_query(c.n, "bwd", 64)]
-    want = Engine(None, c, Counters(), npartitions=4).run(queries)
+    want = Engine(None, c, Counters()).run(queries)
     eng = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0)
     group = "test-one-job-per-round"
     sc.setJobGroup(group, "one round")
@@ -281,7 +378,7 @@ def test_spark_round_is_one_job_one_stage(spark):
     assert len(jobs) == 1
     stages = tracker.getJobInfo(jobs[0]).stageIds
     assert len(stages) == 1
-    assert tracker.getStageInfo(stages[0]).numTasks <= eng.npartitions
+    assert tracker.getStageInfo(stages[0]).numTasks == 1
     desc = sc._jsc.sc().statusStore().job(jobs[0]).description()
     assert desc.isDefined() and desc.get() == "sparse_reach+sparse_reach/r1"
 
@@ -391,10 +488,11 @@ def _round_case(name: str):
 @pytest.mark.spark
 @pytest.mark.parametrize("k", [1, 3, 4])
 @pytest.mark.parametrize("name", list(KERNELS))
-def test_spark_round_equals_driver_round(spark, name, k):
+def test_spark_round_equals_driver_round(spark, monkeypatch, name, k):
     """With the same slice count k both paths run the kernel over the same
     slices, so the rows, their order, their dtypes and the visit count
-    match."""
+    match.  A tiny ``GRAIN`` makes the round take all k slices."""
+    monkeypatch.setattr(enginemod, "GRAIN", 1)
     c, pdf, params = _round_case(name)
     e1 = Engine(None, c, Counters(), npartitions=k)
     e2 = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0, npartitions=k)
@@ -409,9 +507,11 @@ def test_spark_round_equals_driver_round(spark, name, k):
 
 
 @pytest.mark.parametrize("name", list(KERNELS))
-def test_round_concatenates_its_slices(name):
+def test_round_concatenates_its_slices(monkeypatch, name):
     """A round's frame is the kernel's output on each slice, concatenated
-    in slice order, and its visit count is the sum of the slices'."""
+    in slice order, and its visit count is the sum of the slices'.  A tiny
+    ``GRAIN`` makes the round take three slices."""
+    monkeypatch.setattr(enginemod, "GRAIN", 1)
     c, pdf, params = _round_case(name)
     eng = Engine(None, c, Counters(), npartitions=3)
     g = eng._local_g
