@@ -5,8 +5,8 @@ Every run returns a :class:`RunRow` with measured wall time, barrier
 (``counters.simulated_time``), and #SCC / |SCC_1|.  A run is "ok" only
 if its whole answer equals the sequential oracle's: the same SCC or CC
 partition, the same LE-lists (the paper checks #SCC and |SCC_1| only).
-With ``force_spark=False`` the run gets no Spark session, so every round
-runs on the driver.
+A run given ``spark=None`` is driver-only: every round runs on the
+driver; given a session, every round is a Spark job.
 Each row also records its host: ``cores``, ``python`` and
 ``spark_version``.
 Rows are also appended as JSON lines to ``$REPRO_RESULTS`` (default
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import sys
 import time
 from dataclasses import asdict, dataclass
 
@@ -40,7 +41,7 @@ from repro.core.scc import bgss_scc
 from repro.graphs.suite import GraphSpec
 from repro.lelists.lelists import le_lists
 
-DEFAULT_BUDGET_S = float(os.environ.get("REPRO_BENCH_BUDGET", "300"))
+DEFAULT_BUDGET_S = 300.0
 
 
 @dataclass
@@ -68,8 +69,8 @@ class RunRow:
         try:
             with open(path, "a") as f:
                 f.write(json.dumps(asdict(self)) + "\n")
-        except OSError:
-            pass
+        except OSError as e:
+            print(f"RunRow.record: row not saved to {path}: {e}", file=sys.stderr)
         return self
 
 
@@ -83,13 +84,11 @@ def run_scc(
     algo: str,
     *,
     budget_s: float = DEFAULT_BUDGET_S,
-    force_spark: bool = True,
 ) -> RunRow:
     """algo in {ours, gbbs, multistep, ispan, seq}."""
     c = spec_csr(spec)
     truth = canon_partition(tarjan_scc(c)[0])
-    spark = spark if force_spark else None
-    kw = dict(force_spark=force_spark, time_budget_s=budget_s)
+    kw = dict(force_spark=spark is not None, time_budget_s=budget_s)
     t0 = time.perf_counter()
     try:
         if algo == "seq":
@@ -134,13 +133,11 @@ def run_cc(
     variant: str,
     *,
     budget_s: float = DEFAULT_BUDGET_S,
-    force_spark: bool = True,
 ) -> RunRow:
     """variant in {ours, dhs21, seq}."""
     c = spec_csr(spec)
     truth = canon_partition(seq_cc(spec.n, spec.src, spec.dst))
     n_comp = len(np.unique(truth))
-    spark = spark if force_spark else None
     t0 = time.perf_counter()
     try:
         if variant == "seq":
@@ -154,7 +151,7 @@ def run_cc(
         else:
             res = ldd_uf_jtb(
                 spark, csr=c, variant=variant, seed=42,
-                force_spark=force_spark, time_budget_s=budget_s,
+                force_spark=spark is not None, time_budget_s=budget_s,
             )
             wall = time.perf_counter() - t0
             status = "ok" if np.array_equal(canon_partition(res.labels), truth) else "wrong"
@@ -178,13 +175,11 @@ def run_lelists(
     variant: str,
     *,
     budget_s: float = DEFAULT_BUDGET_S,
-    force_spark: bool = True,
     seed: int = 42,
 ) -> RunRow:
     """variant in {ours, parlay, seq}."""
     c = spec_csr(spec)
     order = np.random.default_rng(seed).permutation(spec.n).astype(np.int64)
-    spark = spark if force_spark else None
     t0 = time.perf_counter()
     try:
         if variant == "seq":
@@ -198,7 +193,7 @@ def run_lelists(
         else:
             res = le_lists(
                 spark, csr=c, order=order, variant=variant,
-                force_spark=force_spark, time_budget_s=budget_s,
+                force_spark=spark is not None, time_budget_s=budget_s,
             )
             wall = time.perf_counter() - t0
             truth = seq_le_lists(c, order)

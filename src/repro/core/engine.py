@@ -20,9 +20,9 @@ slice order and adds their visit counts to ``Counters.edge_visits``:
   in the Spark UI and event log.
 - **Driver path** — the kernel is called directly on the same slices.
   This is ordinary horizontal granularity control (don't distribute tiny
-  work) and is used by unit tests; **benchmarks force the Spark path for
-  every algorithm** (``spark_threshold=0``) so all competitors pay the
-  same barrier cost.
+  work) and is used by unit tests; **the table runner forces the Spark
+  path for every algorithm whenever it has a session**
+  (``force_spark=True``) so all competitors pay the same barrier cost.
 
 The slice count k is sized to the round's work, by one rule on both
 paths: ``k = clamp(ceil(work / GRAIN), 1, npartitions)``, with

@@ -6,7 +6,7 @@ undirected subset (LE-list output is O(n log n), and its multi-BFS pays
 O(D) rounds per batch, so sizes are kept modest).
 
 ``scale`` < 1 shrinks every graph (used by tests); the default scale is
-what `jobs/` and `benchmarks/` run.
+what `jobs/tables.py` runs.
 """
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
-"""Harness tests: a driver-only run launches no Spark job, a run is
-"ok" only when its whole partition matches the sequential oracle's, and
-every recorded row carries its host context."""
+"""Harness tests: a run given no session runs on the driver, a run is
+"ok" only when its whole partition matches the sequential oracle's,
+every recorded row carries its host context, and a row that cannot be
+saved is reported."""
 import json
 import os
 import platform
@@ -25,25 +26,16 @@ def results_in_tmp(tmp_path, monkeypatch):
     return path
 
 
-@pytest.mark.spark
-def test_driver_only_runs_launch_no_spark_job(spark):
+def test_driver_only_runs_launch_no_spark_job():
     lattice = GraphSpec("lat", "lattice", 36, *gen.lattice_oriented(6, 6, seed=1))
     road = GraphSpec("road", "road", 36, *gen.road(6, 6, seed=1))
-    sc = spark.sparkContext
-    group = "harness-driver-only"
-    sc.setJobGroup(group, "driver-only harness runs")
-    try:
-        rows = [
-            harness.run_scc(spark, lattice, "ours", force_spark=False),
-            harness.run_cc(spark, road, "ours", force_spark=False),
-            harness.run_lelists(spark, road, "ours", force_spark=False),
-        ]
-    finally:
-        for key in ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel"):
-            sc.setLocalProperty(key, None)
+    rows = [
+        harness.run_scc(None, lattice, "ours"),
+        harness.run_cc(None, road, "ours"),
+        harness.run_lelists(None, road, "ours"),
+    ]
     assert [r.status for r in rows] == ["ok"] * 3
     assert rows[0].rounds > 0 and rows[1].rounds > 0
-    assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
 
 
 # SCCs == components == {0, 1, 2}, {3, 4}, {5}: the edges are symmetric.
@@ -63,7 +55,7 @@ def test_scc_gate_rejects_wrong_partition_with_right_counts(monkeypatch):
     truth = np.array([2, 2, 2, 4, 4, 5])
     wrong = SCCResult(labels=_wrong_labels(truth), counters=Counters()).finalize()
     monkeypatch.setattr(harness, "bgss_scc", lambda *a, **k: wrong)
-    row = harness.run_scc(None, THREE_PARTS, "ours", force_spark=False)
+    row = harness.run_scc(None, THREE_PARTS, "ours")
     assert (row.n_scc, row.scc1) == (3, 3)
     assert row.status == "wrong"
 
@@ -72,15 +64,23 @@ def test_cc_gate_rejects_wrong_partition_with_right_counts(monkeypatch):
     truth = np.array([0, 0, 0, 3, 3, 5])
     wrong = CCResult(_wrong_labels(truth), Counters(), ldd_rounds=0).finalize()
     monkeypatch.setattr(harness, "ldd_uf_jtb", lambda *a, **k: wrong)
-    row = harness.run_cc(None, THREE_PARTS, "ours", force_spark=False)
+    row = harness.run_cc(None, THREE_PARTS, "ours")
     assert row.n_scc == 3
     assert row.status == "wrong"
 
 
 def test_recorded_row_carries_host_context(results_in_tmp):
-    harness.run_scc(None, THREE_PARTS, "seq", force_spark=False)
+    harness.run_scc(None, THREE_PARTS, "seq")
     [line] = results_in_tmp.read_text().splitlines()
     row = json.loads(line)
     assert row["cores"] == os.cpu_count()
     assert row["python"] == platform.python_version()
     assert row["spark_version"] == pyspark.__version__
+
+
+def test_unsaved_row_is_reported_and_returned(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))  # a directory
+    row = harness.run_scc(None, THREE_PARTS, "seq")
+    assert row.status == "ok"
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(tmp_path) in err

@@ -1,10 +1,16 @@
-"""Smoke tests for the driver-only job entrypoints (the Spark-session
-jobs are exercised through the benchmark harness instead, because a job
-main() owns — and stops — its session)."""
+"""Driver-only end-to-end tests of the job entrypoints.  The table
+runner is run with ``--driver-only`` only: with a session it would get the
+test session's SparkSession from ``getOrCreate`` and stop it."""
 import importlib.util
+import json
 import pathlib
 
-import pytest
+import numpy as np
+
+from repro.baselines.tarjan import tarjan_scc
+from repro.bench import harness
+from repro.core.counters import Counters
+from repro.core.scc import SCCResult
 
 JOBS = pathlib.Path(__file__).resolve().parent.parent / "jobs"
 
@@ -30,7 +36,56 @@ def test_tau_sweep_runs(capsys):
     assert "tau=512" in out
 
 
-@pytest.mark.parametrize("name", ["table2_scc", "table3_cc", "table3_lelists"])
-def test_spark_jobs_importable(name):
-    mod = load_job(name)
-    assert callable(mod.main)
+def _no_session(app):
+    raise AssertionError(f"--driver-only created a SparkSession ({app})")
+
+
+def test_tables_driver_only_all_ok(tmp_path, monkeypatch, capsys):
+    results = tmp_path / "rows.jsonl"
+    monkeypatch.setenv("REPRO_RESULTS", str(results))
+    mod = load_job("tables")
+    monkeypatch.setattr(mod, "get_spark", _no_session)
+    want = []
+    for table, (_, suite, _, algos) in mod.TABLES.items():
+        assert mod.main(["--table", table, "--scale", "0.02", "--driver-only"]) == 0
+        want += [(g.name, a) for g in suite(0.02) for a in algos.split(",")]
+    rows = [json.loads(line) for line in results.read_text().splitlines()]
+    assert sorted((r["graph"], r["algo"]) for r in rows) == sorted(want)
+    assert {r["status"] for r in rows} == {"ok"}
+    assert "LAT-SQR'" in capsys.readouterr().out
+
+
+def test_tables_exit_code_flags_a_wrong_row(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_RESULTS", str(tmp_path / "rows.jsonl"))
+
+    def wrong_scc(spark, csr, **kw):
+        # every part keeps its size, but the partition is shifted
+        labels = np.roll(tarjan_scc(csr)[0], 1) + 100
+        return SCCResult(labels=labels, counters=Counters()).finalize()
+
+    monkeypatch.setattr(harness, "bgss_scc", wrong_scc)
+    mod = load_job("tables")
+    monkeypatch.setattr(mod, "get_spark", _no_session)
+    argv = ["--table", "2", "--scale", "0.02", "--algos", "ours", "--driver-only"]
+    assert mod.main(argv) == 1
+
+
+def test_summarize_results_tolerates_missing_ours(tmp_path, capsys):
+    rows = [
+        dict(table="table2", graph="LAT-SQR'", algo="ours", status="ok",
+             wall_s=1.5, rounds=7, n=100, m=300, n_scc=40, scc1=9),
+        dict(table="table2", graph="LAT-SQR'", algo="gbbs", status="ok",
+             wall_s=3.0, rounds=20, n=100, m=300, n_scc=40, scc1=9),
+        dict(table="table3cc", graph="ROAD-GE'", algo="dhs21", status="ok",
+             wall_s=2.0, rounds=5, n=64, m=200, n_scc=1, scc1=-1),
+        dict(table="table3le", graph="KNN-HH5'-sym", algo="ours", status="t",
+             wall_s=300.0, rounds=-1, n=80, m=400, n_scc=-1, scc1=-1),
+    ]
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    mod = load_job("summarize_results")
+    mod.main([str(path)])
+    out = capsys.readouterr().out
+    assert "| LAT-SQR' | 100 | 300 | 40 | 9 | 1.50 | 7 | 3.00 | 20 |" in out
+    assert "| ROAD-GE' | 64 | 200 | - | - | 2.00 | 5 | - | - |" in out
+    assert "| KNN-HH5'-sym | 80 | 400 | t | - |" in out
