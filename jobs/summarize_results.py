@@ -26,6 +26,16 @@ def fmt(r, key="wall_s"):
     return f"{r[key]:.2f}"
 
 
+def wall(r):
+    """``r``'s seconds if it is an ok row, else None."""
+    return r["wall_s"] if r is not None and r["status"] == "ok" else None
+
+
+def ratio(num, den, digits):
+    """``num / den`` as ``<x>x``, or ``n/a`` when either side is missing."""
+    return f"{num / den:.{digits}f}x" if num is not None and den is not None else "n/a"
+
+
 def rounds(r):
     return r["rounds"] if r and r["status"] == "ok" else "-"
 
@@ -48,12 +58,11 @@ def table2(cells):
     for g, first, rows in graph_rows(cells, "table2", algos):
         ours, gbbs, ms, isp, seq = rows
         ref = next((r for r in rows if r and r["status"] == "ok"), first)
-        base = [r["wall_s"] for r in (gbbs, ms, isp) if r and r["status"] == "ok"]
-        ratio = (min(base) / ours["wall_s"]) if base and ours and ours["status"] == "ok" else float("nan")
+        best = min((w for w in map(wall, (gbbs, ms, isp)) if w is not None), default=None)
         print(
             f"| {g} | {first['n']} | {first['m']} | {ref['n_scc']} | {ref['scc1']} "
             f"| {fmt(ours)} | {rounds(ours)} | {fmt(gbbs)} | {rounds(gbbs)} "
-            f"| {fmt(ms)} | {fmt(isp)} | {fmt(seq)} | {ratio:.1f}x |"
+            f"| {fmt(ms)} | {fmt(isp)} | {fmt(seq)} | {ratio(best, wall(ours), 1)} |"
         )
 
 
@@ -64,14 +73,8 @@ def table3(cells, tab, variants):
     print(hdr)
     print("|" + "---|" * (3 + 2 * len(variants) + 1))
     for g, first, rows in graph_rows(cells, tab, variants):
-        ours, base = rows[0], rows[1]
-        ratio = (
-            base["wall_s"] / ours["wall_s"]
-            if ours and base and ours["status"] == "ok" and base["status"] == "ok"
-            else float("nan")
-        )
         body = " | ".join(f"{fmt(r)} | {rounds(r)}" for r in rows)
-        print(f"| {g} | {first['n']} | {first['m']} | {body} | {ratio:.2f}x |")
+        print(f"| {g} | {first['n']} | {first['m']} | {body} | {ratio(wall(rows[1]), wall(rows[0]), 2)} |")
 
 
 def main(argv=None):

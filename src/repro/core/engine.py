@@ -9,15 +9,25 @@ slicing, and with it every task-local dedupe and counter, is the same on
 both execution paths; it concatenates the slices' candidate columns in
 slice order and adds their visit counts to ``Counters.edge_visits``:
 
-- **Spark path** — the slices become
-  ``sc.parallelize(slices, k).mapPartitions(...).collect()``:
-  one Spark job with one stage and at most k tasks, the graph read
-  from a broadcast variable and each query's params riding in the task
-  closure.  One round is exactly one barrier, the analogue of the paper's
-  fork-join round whose fixed overhead is what VGC amortizes.  Searches
-  that only read shared state (a batch's forward and backward searches)
-  share a round.  Each job is described as ``<kernel>[+<kernel>...]/r<round>``
-  in the Spark UI and event log.
+- **Spark path** — one Spark job with one stage and at most k tasks,
+  submitted straight to the JVM.  Each ``Engine`` wraps one constant
+  task command, :func:`_round_task` over the graph's broadcast, as a
+  ``PythonFunction`` in its first Spark round and keeps it, with the
+  ``PythonRDD`` class handle, for the rest.  A round dumps one input element per task (that task's ``(qi,
+  slice)`` list and its queries' kernel names and params, each query
+  once) to a temp file, reads it with ``PythonRDD.readRDDFromFile``,
+  wraps it in a ``PythonRDD`` and runs ``PythonRDD.runJob``, the JVM side
+  of ``sc.runJob``, then loads the results from its socket.  Building a
+  PySpark RDD instead (``parallelize → mapPartitions → collect``) cost
+  about 34 Py4J calls, a cloudpickled closure and a JVM closure clean
+  that re-reads the 184 KB ``RDD.class`` per round, about a third of an
+  empty round.  One round is exactly one barrier, the analogue of the
+  paper's fork-join round whose fixed overhead is what VGC amortizes.  Searches that only read shared state
+  (a batch's forward and backward searches) share a round.  Each job is
+  described as ``<kernel>[+<kernel>...]/r<round>`` in the Spark UI and
+  event log.  Sessions with ``spark.io.encryption.enabled``, where
+  PySpark sends data through a socket server instead of a file, are
+  refused when the ``Engine`` is made.
 - **Driver path** — the kernel is called directly on the same slices.
   This is ordinary horizontal granularity control (don't distribute tiny
   work) and is used by unit tests; **the table runner forces the Spark
@@ -73,12 +83,16 @@ import math
 import os
 import socket
 import sys
+import tempfile
 import time
 import zipimport
 
 import numpy as np
 import pandas as pd
+from pyspark.core.rdd import _wrap_function
+from pyspark.serializers import CPickleSerializer
 from pyspark.sql import SparkSession
+from pyspark.util import _load_from_socket
 
 import repro
 from repro.core.counters import Counters
@@ -93,6 +107,7 @@ GRAIN = 50_000
 MAX_GROWTH = 4
 
 _checked_contexts: set[str] = set()  # applicationIds whose workers import repro
+_SER = CPickleSerializer()  # one framed pickle per task input element and per result
 
 
 def check_workers(spark: SparkSession, tasks: int) -> None:
@@ -165,15 +180,19 @@ def _rows_by_kernel(queries) -> dict[str, int]:
     return rows
 
 
-def _make_task(bc_handle, kernels, params):
-    """Closure shipped to executors; reads the graph from the broadcast
-    and yields ``(qi, cols, visits)`` for each slice of query ``qi``."""
+def _round_task(bc_handle):
+    """The command of every Spark task of one ``Engine``.  It reads the
+    graph from the broadcast; its one input element is
+    ``({qi: (kernel, params)}, [(qi, slice), ...])``, and it yields
+    ``(qi, cols, visits)`` for each slice in order."""
 
-    def task(items):
+    def task(_split, elements):
         _push_acks()
         g = bc_handle.value
-        for qi, cols in items:
-            yield qi, *kernels[qi](cols, g, params[qi])
+        for queries, items in elements:
+            for qi, cols in items:
+                name, params = queries[qi]
+                yield qi, *KERNELS[name](cols, g, params)
         _drop_zip_importers()
 
     return task
@@ -209,8 +228,14 @@ class Engine:
             csr_t = csr_t if csr_t is not None else csr.transpose()
             self._local_g = (csr.indptr, csr.indices, csr_t.indptr, csr_t.indices)
             return
+        if spark.sparkContext._encryption_enabled:
+            raise RuntimeError(
+                "Engine does not support spark.io.encryption.enabled: "
+                "rounds reach the JVM through an unencrypted temp file"
+            )
         check_workers(spark, self.npartitions)
         self.gb = GraphBroadcast(spark, csr, csr_t)
+        self._func = None  # the wrapped task command, made by the first Spark round
         try:
             self._local_g = self.gb.local_value()
         except BaseException:
@@ -241,8 +266,6 @@ class Engine:
         order, and adds their visit counts to the counters."""
         self.check_budget()
         self.counters.rounds += 1
-        kernels = [KERNELS[name] for name, _, _ in queries]
-        params = [p for _, _, p in queries]
         k = self.slice_count(queries)
         per = max(1, k // len(queries))
         items = [(qi, sl) for qi, (_, pdf, _) in enumerate(queries) for sl in _slices(pdf, per)]
@@ -253,15 +276,12 @@ class Engine:
             names = "+".join(name for name, _, _ in queries)
             sc.setJobDescription(f"{names}/r{self.counters.rounds}")
             try:
-                done = (
-                    sc.parallelize(items, min(k, len(items)))
-                    .mapPartitions(_make_task(self.gb.handle, kernels, params))
-                    .collect()
-                )
+                done = self._submit(queries, items, min(k, len(items)))
             finally:
                 sc.setJobDescription(prev)
         else:
-            done = [(qi, *kernels[qi](sl, self._local_g, params[qi])) for qi, sl in items]
+            kernels = [KERNELS[name] for name, _, _ in queries]
+            done = [(qi, *kernels[qi](sl, self._local_g, queries[qi][2])) for qi, sl in items]
         parts: list[list[Cols]] = [[] for _ in queries]
         kernel_rows = _rows_by_kernel(queries)
         visits = dict.fromkeys(kernel_rows, 0)
@@ -273,6 +293,36 @@ class Engine:
         return [
             pd.DataFrame({c: np.concatenate([x[c] for x in xs]) for c in xs[0]}) for xs in parts
         ]
+
+    def _submit(self, queries, items: list[tuple[int, Cols]], tasks: int) -> list:
+        """Run ``items`` as one Spark job of ``tasks`` tasks, each a
+        contiguous run of them, and return every task's
+        ``(qi, cols, visits)`` in item order."""
+        bounds = len(items) * np.arange(tasks + 1) // tasks
+        elements = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            mine = items[lo:hi]
+            elements.append(({qi: (queries[qi][0], queries[qi][2]) for qi, _ in mine}, mine))
+        sc = self.spark.sparkContext
+        if self._func is None:
+            # Once per Engine, and in a round rather than in __init__, so
+            # that an Engine that runs no Spark round pays nothing.  Each
+            # JVM class or static member lookup costs a Py4J call.
+            self._func = _wrap_function(sc, _round_task(self.gb.handle), _SER, _SER)
+            self._jvm_rdd = sc._jvm.PythonRDD
+            self._read_file = self._jvm_rdd.readRDDFromFile
+            self._run_job = self._jvm_rdd.runJob
+            self._jsc_sc = sc._jsc.sc()
+        fd, path = tempfile.mkstemp(dir=sc._temp_dir)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                _SER.dump_stream(elements, f)
+            jrdd = self._read_file(sc._jsc, path, tasks)  # reads the file eagerly
+        finally:
+            os.unlink(path)
+        rdd = self._jvm_rdd(jrdd.rdd(), self._func, False, False)
+        sock_info = self._run_job(self._jsc_sc, rdd.asJavaRDD(), list(range(tasks)))
+        return list(_load_from_socket(sock_info, _SER))
 
     def close(self) -> None:
         if self.gb is not None:

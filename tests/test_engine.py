@@ -97,10 +97,9 @@ def test_task_drops_cached_zip_importers(tmp_path):
         c = zoo()["path"]
         g = Engine(None, c, Counters())._local_g
         params = {"direction": "fwd", "visited": np.zeros(c.n, bool), "tau": 1, "two_pass": False}
-        task = enginemod._make_task(
-            SimpleNamespace(value=g), [KERNELS["sparse_reach"]], [params]
-        )
-        [(qi, cols, _)] = list(task(iter([(0, {"v": np.array([0])})])))
+        task = enginemod._round_task(SimpleNamespace(value=g))
+        element = ({0: ("sparse_reach", params)}, [(0, {"v": np.array([0])})])
+        [(qi, cols, _)] = list(task(0, iter([element])))
         assert qi == 0 and len(cols["v"]) > 0
         finders = sys.path_importer_cache.values()
         assert not any(isinstance(f, zipimport.zipimporter) for f in finders)
@@ -155,12 +154,12 @@ def test_task_pushes_acks_before_reading_input(monkeypatch):
     params = {"direction": "fwd", "visited": np.zeros(c.n, bool), "tau": 1, "two_pass": False}
     seen_at_first_row = []
 
-    def items():
+    def elements():
         seen_at_first_row.append(bool(pushed))
-        yield 0, {"v": np.array([0])}
+        yield {0: ("sparse_reach", params)}, [(0, {"v": np.array([0])})]
 
-    task = enginemod._make_task(SimpleNamespace(value=g), [KERNELS["sparse_reach"]], [params])
-    assert [qi for qi, _, _ in task(items())] == [0]
+    task = enginemod._round_task(SimpleNamespace(value=g))
+    assert [qi for qi, _, _ in task(0, elements())] == [0]
     assert seen_at_first_row == [True]
 
 
@@ -520,3 +519,78 @@ def test_round_concatenates_its_slices(monkeypatch, name):
     pd.testing.assert_frame_equal(eng.round(name, pdf, params), want)
     assert len(outs) == 3 and len(want) > 0
     assert eng.counters.edge_visits == sum(v for _, v in outs)
+
+
+@pytest.mark.spark
+def test_engine_wraps_its_task_command_once(spark, monkeypatch):
+    """An ``Engine`` pickles and wraps its task command once, however many
+    rounds it runs."""
+    wrapped = []
+    wrap = enginemod._wrap_function
+    monkeypatch.setattr(enginemod, "_wrap_function", lambda *a: wrapped.append(a) or wrap(*a))
+    c = zoo()["lattice"]
+    eng = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0)
+    try:
+        for rows in (1, 8, 64):
+            eng.run([_sparse_query(c.n, "fwd", rows), _sparse_query(c.n, "bwd", rows)])
+    finally:
+        eng.close()
+    assert eng.counters.rounds == 3
+    assert len(wrapped) == 1
+
+
+@pytest.mark.spark
+def test_round_input_files_are_unlinked(spark, monkeypatch):
+    """Each round's input file is gone once the round returns, on a
+    one-task and a four-task round alike; ``close`` leaves the temp dir
+    as it found it."""
+    monkeypatch.setattr(enginemod, "GRAIN", 1)
+    tmp = spark.sparkContext._temp_dir
+    before = len(os.listdir(tmp))
+    c = zoo()["lattice"]
+    eng = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0)
+    made = len(os.listdir(tmp))
+    try:
+        for npart in (1, 4):
+            eng.npartitions = npart
+            eng.run([_sparse_query(c.n, "fwd", 16)])
+            assert len(os.listdir(tmp)) == made
+    finally:
+        eng.close()
+    assert len(os.listdir(tmp)) == before
+
+
+@pytest.mark.spark
+def test_kernel_error_in_task_raises_on_driver(spark, monkeypatch):
+    """A kernel that raises inside a Spark task fails the round on the
+    driver with an error naming the Python exception, and the caller's
+    job description is restored."""
+
+    def boom(cols, g, params):
+        raise ValueError("kernel boom")
+
+    monkeypatch.setitem(enginemod.KERNELS, "sparse_reach", boom)
+    sc = spark.sparkContext
+    c = zoo()["path"]
+    eng = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0)
+    sc.setJobDescription("caller")
+    try:
+        with pytest.raises(Exception, match="ValueError: kernel boom"):
+            eng.run([_sparse_query(c.n, "fwd", 1)])
+        assert sc.getLocalProperty("spark.job.description") == "caller"
+    finally:
+        sc.setJobDescription(None)
+        eng.close()
+
+
+@pytest.mark.spark
+def test_engine_refuses_io_encryption(spark, monkeypatch):
+    """With ``spark.io.encryption.enabled`` an ``Engine`` fails when it is
+    made, in one named error, before it broadcasts anything."""
+    sc = spark.sparkContext
+    tmp = sc._temp_dir
+    before = len(os.listdir(tmp))
+    monkeypatch.setattr(sc, "_encryption_enabled", True)
+    with pytest.raises(RuntimeError, match="spark.io.encryption.enabled"):
+        Engine(spark, zoo()["path"], Counters(), force_spark=True)
+    assert len(os.listdir(tmp)) == before

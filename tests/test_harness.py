@@ -84,3 +84,23 @@ def test_unsaved_row_is_reported_and_returned(tmp_path, monkeypatch, capsys):
     assert row.status == "ok"
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(tmp_path) in err
+
+
+@pytest.mark.parametrize(
+    "run, oracle, algos",
+    [
+        (harness.run_scc, "tarjan_scc", ["ours", "gbbs", "multistep", "ispan", "seq"]),
+        (harness.run_cc, "seq_cc", ["ours", "dhs21", "seq"]),
+        (harness.run_lelists, "seq_le_lists", ["ours", "parlay", "seq"]),
+    ],
+)
+def test_oracle_runs_once_per_graph(monkeypatch, run, oracle, algos):
+    """Across a table's algos one graph's sequential oracle runs once; the
+    only other call is the ``seq`` cell's own timed run."""
+    calls = []
+    fn = getattr(harness, oracle)
+    monkeypatch.setattr(harness, oracle, lambda *a: calls.append(a) or fn(*a))
+    road = GraphSpec("road", "road", 36, *gen.road(6, 6, seed=1))
+    rows = [run(None, road, algo) for algo in algos]
+    assert [r.status for r in rows] == ["ok"] * len(algos)
+    assert len(calls) == 2

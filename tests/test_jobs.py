@@ -4,8 +4,10 @@ test session's SparkSession from ``getOrCreate`` and stop it."""
 import importlib.util
 import json
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from repro.baselines.tarjan import tarjan_scc
 from repro.bench import harness
@@ -89,3 +91,55 @@ def test_summarize_results_tolerates_missing_ours(tmp_path, capsys):
     assert "| LAT-SQR' | 100 | 300 | 40 | 9 | 1.50 | 7 | 3.00 | 20 |" in out
     assert "| ROAD-GE' | 64 | 200 | - | - | 2.00 | 5 | - | - |" in out
     assert "| KNN-HH5'-sym | 80 | 400 | t | - |" in out
+
+
+def test_tables_warm_up_before_first_cell(tmp_path, monkeypatch):
+    """With a session the runner warms it up once, before its first cell."""
+    monkeypatch.setenv("REPRO_RESULTS", str(tmp_path / "rows.jsonl"))
+    mod = load_job("tables")
+    events = []
+    session = SimpleNamespace(stop=lambda: events.append("stop"))
+    monkeypatch.setattr(mod, "get_spark", lambda app: session)
+    monkeypatch.setattr(mod, "warm_up", lambda s: events.append(("warm", s)))
+    app, suite, _, _ = mod.TABLES["3cc"]
+
+    def cell(spark, spec, algo, budget_s):
+        events.append(("cell", spark))
+        return harness.run_cc(None, spec, algo, budget_s=budget_s)
+
+    monkeypatch.setitem(mod.TABLES, "3cc", (app, suite, cell, "seq"))
+    assert mod.main(["--table", "3cc", "--scale", "0.02"]) == 0
+    cells = len(suite(0.02))
+    assert events == [("warm", session)] + [("cell", session)] * cells + ["stop"]
+
+
+@pytest.mark.spark
+def test_tables_warm_up_runs_one_round(spark):
+    """The warm-up runs one engine round as a Spark job."""
+    sc = spark.sparkContext
+    group = "test-tables-warm-up"
+    sc.setJobGroup(group, "warm-up")
+    try:
+        load_job("tables").warm_up(spark)
+    finally:
+        sc._jsc.clearJobGroup()
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    tracker = sc.statusTracker()
+    descs = [
+        sc._jsc.sc().statusStore().job(j).description().get()
+        for j in tracker.getJobIdsForGroup(group)
+    ]
+    assert "sparse_reach/r1" in descs
+
+
+def test_summarize_results_ratio_without_a_side_is_na(tmp_path, capsys):
+    """A one-row results file has no side to compare with: the ratio
+    column reads ``n/a``, not ``nanx``."""
+    row = dict(table="table3cc", graph="ROAD-GE'", algo="dhs21", status="ok",
+               wall_s=2.0, rounds=5, n=64, m=200, n_scc=1, scc1=-1)
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    load_job("summarize_results").main([str(path)])
+    out = capsys.readouterr().out
+    assert "| ROAD-GE' | 64 | 200 | - | - | 2.00 | 5 | - | - | n/a |" in out
+    assert "nan" not in out
