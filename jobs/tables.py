@@ -1,17 +1,19 @@
-"""Reproduce one of the paper's evaluation tables.
+"""Reproduce one of the paper's evaluation tables or studies.
 
 Usage:
-    spark-submit jobs/tables.py --table {2,3cc,3le} [--scale S]
+    spark-submit jobs/tables.py --table {2,tau,3cc,3le} [--scale S]
                                 [--budget SECONDS] [--algos A,B,...]
                                 [--driver-only]
 
 Table 2 is SCC (ours, GBBS, Multi-step, iSpan, SEQ), Table 3 is
-connectivity (ours, DHS'21, SEQ) and LE-lists (ours, ParlayLib, SEQ).
-Prints each (graph, algo) row as it finishes, then the whole table; every
-row is also appended as a JSON line to $REPRO_RESULTS.  Exits 1 if any
-row's answer differs from the sequential oracle's.  With a session, the
-Python workers are started before the first timed cell, which would
-otherwise pay for them.
+connectivity (ours, DHS'21, SEQ) and LE-lists (ours, ParlayLib, SEQ),
+and ``tau`` is the τ study (BGSS with τ = 1 ... 8192); see
+``repro.bench.harness.TABLES``.  The paper's Fig. 10 is read from Table
+2's rows by ``jobs/summarize_results.py``.  Prints each (graph, algo) row
+as it finishes, then the whole table; every row is also appended as a
+JSON line to $REPRO_RESULTS.  Exits 1 if any row's answer differs from
+the sequential oracle's.  With a session, the Python workers are started
+before the first timed cell, which would otherwise pay for them.
 """
 import argparse
 import sys
@@ -19,18 +21,10 @@ import sys
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.bench.harness import DEFAULT_BUDGET_S, format_rows, run_cc, run_lelists, run_scc
+from repro.bench.harness import DEFAULT_BUDGET_S, TABLES, format_rows, run_cell
 from repro.core.counters import Counters
 from repro.core.csr import from_arrays
 from repro.core.engine import Engine, frontier_pdf
-from repro.graphs.suite import lelists_suite, table2_suite, table3_suite
-
-# --table -> (Spark app name, graph suite, harness run, default algos)
-TABLES = {
-    "2": ("table2_scc", table2_suite, run_scc, "ours,gbbs,multistep,ispan,seq"),
-    "3cc": ("table3_cc", table3_suite, run_cc, "ours,dhs21,seq"),
-    "3le": ("table3_lelists", lelists_suite, run_lelists, "ours,parlay,seq"),
-}
 
 
 def get_spark(app: str) -> SparkSession:
@@ -67,20 +61,21 @@ def main(argv=None) -> int:
         "rounds/visits are identical, wall time is not comparable",
     )
     args = ap.parse_args(argv)
-    app, suite, run, algos = TABLES[args.table]
-    spark = None if args.driver_only else get_spark(app)
+    table = TABLES[args.table]
+    algos = args.algos.split(",") if args.algos else table.algos
+    spark = None if args.driver_only else get_spark(table.name)
     rows = []
     try:
         if spark is not None:
             warm_up(spark)
-        for spec in suite(args.scale):
-            for algo in (args.algos or algos).split(","):
-                rows.append(run(spark, spec, algo, budget_s=args.budget))
+        for spec in table.suite(args.scale):
+            for algo in algos:
+                rows.append(run_cell(spark, spec, args.table, algo, budget_s=args.budget))
                 print(format_rows(rows[-1:]).splitlines()[-1], flush=True)
     finally:
         if spark is not None:
             spark.stop()
-    print(f"\n=== {app} (reproduction) ===")
+    print(f"\n=== {table.name} (reproduction) ===")
     print(format_rows(rows))
     return int(any(r.status == "wrong" for r in rows))
 

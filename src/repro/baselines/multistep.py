@@ -62,11 +62,10 @@ def multistep_scc(
     force_spark: bool = False,
     spark_threshold: int = 1 << 30,
     time_budget_s: float | None = None,
-    counters: Counters | None = None,
 ) -> SCCResult:
     n = csr.n
     csr_t = csr.transpose()
-    counters = counters if counters is not None else Counters()
+    counters = Counters()
     engine = Engine(
         spark,
         csr,

@@ -63,13 +63,12 @@ def ldd_uf_jtb(
     force_spark: bool = False,
     spark_threshold: int = 1 << 30,
     time_budget_s: float | None = None,
-    counters: Counters | None = None,
 ) -> CCResult:
     """Input graph must be symmetric (undirected): every edge (u, v) has
     its reverse (v, u) in ``csr``."""
     cfg = CC_VARIANTS[variant]
     n = csr.n
-    counters = counters if counters is not None else Counters()
+    counters = Counters()
     engine = Engine(
         spark,
         csr,

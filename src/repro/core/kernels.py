@@ -9,8 +9,9 @@ runs in two places:
 - driver-side, for tiny inputs (granularity cutoff), and
 - inside Spark executors, one call per frontier slice (see
   ``engine.Engine``), where ``graph_arrays`` comes from a broadcast CSR
-  and ``params`` rides in the task closure.  One executor task == one
-  "processor" of the paper; one engine round == one global barrier.
+  and ``params`` rides in each task's input element, beside its slices.
+  One executor task == one "processor" of the paper; one engine round ==
+  one global barrier.
 
 The central routine is :func:`local_search`, the paper's tau-bounded
 *local search* (Sec. 3.1-3.2, Fig. 4), shared by single-reachability

@@ -33,9 +33,15 @@ def heuristic_capacity(prev_frontier_pairs: int, unfinished: int) -> int:
 
 
 def _probe_index(keys: np.ndarray, key: int) -> int:
-    """First slot where ``key`` lives or could be placed (linear probe)."""
+    """First slot where ``key`` lives or could be placed (linear probe).
+
+    The probe starts at the top b bits of the 64-bit multiplicative hash
+    for a table of 2^b slots (Knuth, TAOCP 3 §6.4).  The hash's low bits depend
+    only on the low bits of ``key = v * n + s``, which are ``s``'s when
+    2^b divides ``n``: they would start all of one source's pairs in one
+    probe run."""
     cap = len(keys)
-    i = (key * 0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFFFFFF) % cap
+    i = ((key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF) >> (65 - cap.bit_length())
     while True:
         k = keys[i]
         if k == key or k == EMPTY:

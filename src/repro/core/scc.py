@@ -87,23 +87,21 @@ def bgss_scc(
     force_spark: bool = False,
     spark_threshold: int = 1 << 30,
     time_budget_s: float | None = None,
-    counters: Counters | None = None,
 ) -> SCCResult:
     """Run BGSS SCC; returns per-vertex labels (equal label <=> same SCC).
 
-    ``tau`` overrides the variant's local-search budget for both search
-    kinds (used by the tau-sweep study).  Raises ``TimeoutError`` if
-    ``time_budget_s`` is exceeded.
+    ``tau`` overrides the variant's local-search budget in every search
+    kind that has one (the tau study runs ``final`` with each tau).  Raises
+    ``TimeoutError`` if ``time_budget_s`` is exceeded.
     """
     cfg = dict(VARIANTS[variant])
     if tau is not None:
-        if cfg["tau_single"] != 1 or variant == "final":
-            cfg["tau_single"] = tau
-        if cfg["tau_multi"] != 1 or variant == "final":
-            cfg["tau_multi"] = tau
+        for kind in ("tau_single", "tau_multi"):
+            if cfg[kind] != 1:
+                cfg[kind] = tau
     n = csr.n
     csr_t = csr.transpose()
-    counters = counters if counters is not None else Counters()
+    counters = Counters()
     engine = Engine(
         spark,
         csr,

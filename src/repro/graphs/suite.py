@@ -5,15 +5,19 @@ symmetrized + road suite for connectivity; ``lelists_suite`` a smaller
 undirected subset (LE-list output is O(n log n), and its multi-BFS pays
 O(D) rounds per batch, so sizes are kept modest).
 
+``tau_suite`` is the four Table-2 graphs of the τ study (Sec. 6.3).
+
 ``scale`` < 1 shrinks every graph (used by tests); the default scale is
 what `jobs/tables.py` runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from repro.core import csr as csrmod
 from repro.graphs import generators as gen
 
 
@@ -30,6 +34,11 @@ class GraphSpec:
     @property
     def m(self) -> int:
         return len(self.src)
+
+    @cached_property
+    def csr(self) -> csrmod.CSR:
+        """The graph's CSR, built once and shared by every cell."""
+        return csrmod.from_arrays(self.n, self.src, self.dst)
 
 
 def _sym(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,6 +85,12 @@ def table2_suite(scale: float = 1.0, seed: int = 7) -> list[GraphSpec]:
     add("LAT-SQRp'", "lattice", r * r, gen.lattice_sparse(r, r, seed=seed + 11))
     add("LAT-RECp'", "lattice", rr * rc, gen.lattice_sparse(rr, rc, seed=seed + 12))
     return specs
+
+
+def tau_suite(scale: float = 1.0, seed: int = 7) -> list[GraphSpec]:
+    """The τ study's graphs: a social, a web, a kNN and a lattice one."""
+    picks = ["SOC-LJ'", "WEB-SD'", "KNN-GL5'", "LAT-SQR'"]
+    return [g for g in table2_suite(scale, seed) if g.name in picks]
 
 
 def table3_suite(scale: float = 1.0, seed: int = 7) -> list[GraphSpec]:

@@ -51,11 +51,10 @@ def le_lists(
     force_spark: bool = False,
     spark_threshold: int = 1 << 30,
     time_budget_s: float | None = None,
-    counters: Counters | None = None,
 ) -> LEListsResult:
     cfg = LE_VARIANTS[variant]
     n = csr.n
-    counters = counters if counters is not None else Counters()
+    counters = Counters()
     engine = Engine(
         spark,
         csr,

@@ -1,9 +1,12 @@
 """Driver-only end-to-end tests of the job entrypoints.  The table
 runner is run with ``--driver-only`` only: with a session it would get the
 test session's SparkSession from ``getOrCreate`` and stop it."""
+import contextlib
 import importlib.util
+import io
 import json
 import pathlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +15,6 @@ import pytest
 from repro.baselines.tarjan import tarjan_scc
 from repro.bench import harness
 from repro.core.counters import Counters
-from repro.core.scc import SCCResult
 
 JOBS = pathlib.Path(__file__).resolve().parent.parent / "jobs"
 
@@ -24,51 +26,67 @@ def load_job(name):
     return mod
 
 
-def test_rounds_study_runs(capsys):
-    mod = load_job("rounds_study")
-    assert mod.main(["--scale", "0.02"]) == 0
-    out = capsys.readouterr().out
-    assert "LAT-SQR'" in out and "avg y/x" in out
-
-
-def test_tau_sweep_runs(capsys):
-    mod = load_job("tau_sweep")
-    assert mod.main(["--scale", "0.02", "--graphs", "LAT-SQR'"]) == 0
-    out = capsys.readouterr().out
-    assert "tau=512" in out
-
-
 def _no_session(app):
     raise AssertionError(f"--driver-only created a SparkSession ({app})")
 
 
-def test_tables_driver_only_all_ok(tmp_path, monkeypatch, capsys):
-    results = tmp_path / "rows.jsonl"
-    monkeypatch.setenv("REPRO_RESULTS", str(results))
-    mod = load_job("tables")
-    monkeypatch.setattr(mod, "get_spark", _no_session)
-    want = []
-    for table, (_, suite, _, algos) in mod.TABLES.items():
-        assert mod.main(["--table", table, "--scale", "0.02", "--driver-only"]) == 0
-        want += [(g.name, a) for g in suite(0.02) for a in algos.split(",")]
+@pytest.fixture(scope="module")
+def every_table(tmp_path_factory):
+    """Every table run ``--driver-only --scale 0.02`` into one results
+    file: (exit codes, results path, printed output)."""
+    results = tmp_path_factory.mktemp("tables") / "rows.jsonl"
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setenv("REPRO_RESULTS", str(results))
+        mod = load_job("tables")
+        mp.setattr(mod, "get_spark", _no_session)
+        codes = [
+            mod.main(["--table", table, "--scale", "0.02", "--driver-only"])
+            for table in harness.TABLES
+        ]
+    return codes, results, out.getvalue()
+
+
+def test_tables_driver_only_all_ok(every_table):
+    codes, results, out = every_table
+    assert codes == [0] * len(harness.TABLES)
+    want = [(g.name, a) for t in harness.TABLES.values() for g in t.suite(0.02) for a in t.algos]
     rows = [json.loads(line) for line in results.read_text().splitlines()]
     assert sorted((r["graph"], r["algo"]) for r in rows) == sorted(want)
     assert {r["status"] for r in rows} == {"ok"}
-    assert "LAT-SQR'" in capsys.readouterr().out
+    assert "LAT-SQR'" in out
 
 
-def test_tables_exit_code_flags_a_wrong_row(tmp_path, monkeypatch):
+def test_summarize_results_prints_every_table(every_table, capsys):
+    """The summary of every table has a full section for each table and
+    study, with no wrong row, no NaN and no empty cell."""
+    load_job("summarize_results").main([str(every_table[1])])
+    out = capsys.readouterr().out
+    sections = re.split(r"^## ", out, flags=re.M)[1:]
+    names = ["Table 2", "Table 3 connectivity", "Table 3 LE-lists", "Fig. 10", "τ study"]
+    assert len(sections) == len(names)
+    for sec, name in zip(sections, names):
+        assert sec.startswith(name)
+        body = [line for line in sec.splitlines() if line.startswith("| ")][1:]
+        assert body and not any("| - |" in line for line in body), sec
+    assert "WRONG" not in out and "nan" not in out
+    assert "| LAT-SQR' | 6 | 35 | 6 | 5.8 | 16.0 |" in sections[3]
+    assert "| LAT-SQR' | 0.0008 / " in sections[4]
+
+
+@pytest.mark.parametrize("table", ["2", "tau"])
+def test_tables_exit_code_flags_a_wrong_row(tmp_path, monkeypatch, table):
     monkeypatch.setenv("REPRO_RESULTS", str(tmp_path / "rows.jsonl"))
+    algo = next(iter(harness.TABLES[table].algos))
 
-    def wrong_scc(spark, csr, **kw):
+    def wrong(spark, spec, kw):
         # every part keeps its size, but the partition is shifted
-        labels = np.roll(tarjan_scc(csr)[0], 1) + 100
-        return SCCResult(labels=labels, counters=Counters()).finalize()
+        return np.roll(tarjan_scc(spec.csr)[0], 1) + 100, Counters()
 
-    monkeypatch.setattr(harness, "bgss_scc", wrong_scc)
+    monkeypatch.setitem(harness.TABLES[table].algos, algo, wrong)
     mod = load_job("tables")
     monkeypatch.setattr(mod, "get_spark", _no_session)
-    argv = ["--table", "2", "--scale", "0.02", "--algos", "ours", "--driver-only"]
+    argv = ["--table", table, "--scale", "0.02", "--algos", algo, "--driver-only"]
     assert mod.main(argv) == 1
 
 
@@ -101,15 +119,14 @@ def test_tables_warm_up_before_first_cell(tmp_path, monkeypatch):
     session = SimpleNamespace(stop=lambda: events.append("stop"))
     monkeypatch.setattr(mod, "get_spark", lambda app: session)
     monkeypatch.setattr(mod, "warm_up", lambda s: events.append(("warm", s)))
-    app, suite, _, _ = mod.TABLES["3cc"]
 
-    def cell(spark, spec, algo, budget_s):
+    def cell(spark, spec, table, algo, budget_s):
         events.append(("cell", spark))
-        return harness.run_cc(None, spec, algo, budget_s=budget_s)
+        return harness.run_cell(None, spec, table, algo, budget_s=budget_s)
 
-    monkeypatch.setitem(mod.TABLES, "3cc", (app, suite, cell, "seq"))
-    assert mod.main(["--table", "3cc", "--scale", "0.02"]) == 0
-    cells = len(suite(0.02))
+    monkeypatch.setattr(mod, "run_cell", cell)
+    assert mod.main(["--table", "3cc", "--scale", "0.02", "--algos", "seq"]) == 0
+    cells = len(harness.TABLES["3cc"].suite(0.02))
     assert events == [("warm", session)] + [("cell", session)] * cells + ["stop"]
 
 

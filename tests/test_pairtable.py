@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.pairtable import (
     PairTable,
+    _probe_index,
     contains_static,
     heuristic_capacity,
     next_pow2,
@@ -101,3 +102,34 @@ def test_property_set_semantics(pairs):
     pv, ps = t.pairs()
     assert set(zip(pv.tolist(), ps.tolist())) == set(pairs)
     assert t.size == len(pairs)
+
+
+class _CountingKeys:
+    """A key array that counts the slots a probe reads."""
+
+    def __init__(self, keys):
+        self.keys, self.reads = keys, 0
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.keys[i]
+
+
+def test_probe_runs_stay_short_when_n_is_a_power_of_two():
+    """All pairs of three sources at 3/4 load, n = 4096: a probe scans a
+    few slots.  Probing from the hash's low bits would start each
+    source's 4096 pairs in 4 slots and scan hundreds per probe."""
+    n, sources = 4096, (5, 1000, 3001)
+    t = PairTable(n, capacity=3 * n * 4 // 3)
+    for s in sources:
+        for v in range(n):
+            t.insert(v, s)
+    assert t.size * 4 == t.capacity * 3
+    keys = _CountingKeys(t.keys)
+    for s in sources:
+        for v in range(n):
+            assert keys.keys[_probe_index(keys, v * n + s)] == v * n + s
+    assert keys.reads / t.size < 3

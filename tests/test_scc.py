@@ -108,6 +108,15 @@ def test_vgc_reduces_total_rounds():
     assert final.counters.rounds < plain.counters.rounds / 2
 
 
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_gbbs_and_plain_run_the_same_searches(name):
+    """Two-pass frontiers and exact table sizing change visits and rehash
+    cost, not frontiers, so the summary's Fig. 10 reads its tau=1 rounds
+    per search from ``gbbs``."""
+    plain, gbbs = (bgss_scc(None, csr=zoo()[name], variant=v).counters for v in ("plain", "gbbs"))
+    assert gbbs.search_rounds == plain.search_rounds
+
+
 def test_gbbs_visits_more_edges_than_plain():
     """Edge-revisit costs ~2x the edge visits of hash-bag frontiers."""
     c = zoo()["lattice"]
