@@ -12,17 +12,18 @@ slice order and adds their visit counts to ``Counters.edge_visits``:
 - **Spark path** — one Spark job with one stage and at most k tasks,
   submitted straight to the JVM.  Each ``Engine`` wraps one constant
   task command, :func:`_round_task` over the graph's broadcast, as a
-  ``PythonFunction`` in its first Spark round and keeps it, with the
-  ``PythonRDD`` class handle, for the rest.  A round dumps one input element per task (that task's ``(qi,
-  slice)`` list and its queries' kernel names and params, each query
-  once) to a temp file, reads it with ``PythonRDD.readRDDFromFile``,
-  wraps it in a ``PythonRDD`` and runs ``PythonRDD.runJob``, the JVM side
-  of ``sc.runJob``, then loads the results from its socket.  Building a
-  PySpark RDD instead (``parallelize → mapPartitions → collect``) cost
-  about 34 Py4J calls, a cloudpickled closure and a JVM closure clean
-  that re-reads the 184 KB ``RDD.class`` per round, about a third of an
-  empty round.  One round is exactly one barrier, the analogue of the
-  paper's fork-join round whose fixed overhead is what VGC amortizes.  Searches that only read shared state
+  ``PythonFunction`` in its first Spark round and keeps it, with the JVM
+  class handles, for the rest.  A round dumps one input element per task
+  (that task's ``(qi, slice)`` list and its queries' kernel names and
+  params, each query once) to a temp file, reads it with
+  ``PythonRDD.readRDDFromFile``, wraps it in a ``PythonRDD``, runs
+  ``AsyncRDDActions(rdd).collectAsync().get()``, which returns the
+  partitions' rows in partition order, and loads them from the socket of
+  ``PythonRDD.serveIterator``.  Building a PySpark RDD instead
+  (``parallelize → mapPartitions → collect``) cost about 34 Py4J calls
+  and a cloudpickled closure per round.  One round is exactly one
+  barrier, the analogue of the paper's fork-join round whose fixed
+  overhead is what VGC amortizes.  Searches that only read shared state
   (a batch's forward and backward searches) share a round.  Each job is
   described as ``<kernel>[+<kernel>...]/r<round>`` in the Spark UI and
   event log.  Sessions with ``spark.io.encryption.enabled``, where
@@ -76,9 +77,29 @@ sockets and so sends the pending ACK at once.  It must run before the
 first input row is read; the worker's own reply re-arms delayed ACKs, so
 pushing at task end does not help.  Sessions with
 ``spark.python.unix.domain.socket.enabled`` use no TCP and never stall.
+
+Two CPU sinks that do no work for the algorithm competed with every
+round for the host's cores.  The JVM's closure cleaner reads the
+``.class`` file of each closure's capturing class from its jar and runs
+an ASM pass over it.  ``PythonRDD.runJob`` reaches ``SparkContext.runJob``
+through an overload that cleans two closures, so every round re-read
+``SparkContext.class`` (204 KB) and ``PythonRDD$.class`` (47 KB) on the
+submitting Py4J thread; ``collectAsync`` goes through
+``SparkContext.submitJob``, which cleans one closure of the 25 KB
+``AsyncRDDActions``.  That thread's CPU per empty round fell from 4.9-6.7
+ms to 2.1-2.6 ms on a 4-core host.  And after every task of a reused
+worker PySpark's daemon runs ``gc.collect()``, which walks the ~73 K
+objects that importing this module (pandas, ``pyspark.sql``) leaves
+tracked, about 26 ms each time.  Each worker's first round task
+therefore calls ``gc.freeze()`` after it reads the graph, which moves
+that heap to the permanent generation the collector skips: the workers'
+CPU per empty round fell from 24-31 ms to 0.9-1.3 ms, and with both
+changes an empty round takes 9.5 ms instead of 16 ms
+(``BENCH_round_floor.json``).
 """
 from __future__ import annotations
 
+import gc
 import math
 import os
 import socket
@@ -108,6 +129,7 @@ MAX_GROWTH = 4
 
 _checked_contexts: set[str] = set()  # applicationIds whose workers import repro
 _SER = CPickleSerializer()  # one framed pickle per task input element and per result
+_heap_frozen = False  # set by this process's first round task
 
 
 def check_workers(spark: SparkSession, tasks: int) -> None:
@@ -163,6 +185,16 @@ def _push_acks() -> None:
             s.detach()
 
 
+def _freeze_heap_once() -> None:
+    """``gc.freeze()`` on this process's first call only (see the module
+    docstring).  It keeps a flag: ``gc.get_freeze_count()`` walks the whole
+    frozen heap, about 2 ms per call on a worker's 73 K objects."""
+    global _heap_frozen
+    if not _heap_frozen:
+        gc.freeze()
+        _heap_frozen = True
+
+
 def _slices(pdf: pd.DataFrame, k: int) -> list[Cols]:
     """``pdf``'s columns cut into ``min(k, rows)`` contiguous slices of
     near-equal size; an empty frontier is one empty slice."""
@@ -182,13 +214,15 @@ def _rows_by_kernel(queries) -> dict[str, int]:
 
 def _round_task(bc_handle):
     """The command of every Spark task of one ``Engine``.  It reads the
-    graph from the broadcast; its one input element is
+    graph from the broadcast and, in a worker's first round task, freezes
+    the worker's heap (see the module docstring); its one input element is
     ``({qi: (kernel, params)}, [(qi, slice), ...])``, and it yields
     ``(qi, cols, visits)`` for each slice in order."""
 
     def task(_split, elements):
         _push_acks()
         g = bc_handle.value
+        _freeze_heap_once()
         for queries, items in elements:
             for qi, cols in items:
                 name, params = queries[qi]
@@ -309,10 +343,12 @@ class Engine:
             # that an Engine that runs no Spark round pays nothing.  Each
             # JVM class or static member lookup costs a Py4J call.
             self._func = _wrap_function(sc, _round_task(self.gb.handle), _SER, _SER)
-            self._jvm_rdd = sc._jvm.PythonRDD
+            jvm = sc._jvm
+            self._jvm_rdd = jvm.PythonRDD
             self._read_file = self._jvm_rdd.readRDDFromFile
-            self._run_job = self._jvm_rdd.runJob
-            self._jsc_sc = sc._jsc.sc()
+            self._serve = self._jvm_rdd.serveIterator
+            self._async = jvm.org.apache.spark.rdd.AsyncRDDActions
+            self._any_ref = jvm.scala.reflect.ClassTag.AnyRef()
         fd, path = tempfile.mkstemp(dir=sc._temp_dir)
         try:
             with os.fdopen(fd, "wb") as f:
@@ -321,8 +357,8 @@ class Engine:
         finally:
             os.unlink(path)
         rdd = self._jvm_rdd(jrdd.rdd(), self._func, False, False)
-        sock_info = self._run_job(self._jsc_sc, rdd.asJavaRDD(), list(range(tasks)))
-        return list(_load_from_socket(sock_info, _SER))
+        rows = self._async(rdd, self._any_ref).collectAsync().get()  # partition order
+        return list(_load_from_socket(self._serve(rows.iterator(), "serve round"), _SER))
 
     def close(self) -> None:
         if self.gb is not None:

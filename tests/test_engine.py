@@ -1,5 +1,6 @@
 """Engine tests: driver path vs forced-Spark path produce identical
 results; rounds and visit counters are accounted on both paths."""
+import gc
 import importlib
 import math
 import os
@@ -23,6 +24,14 @@ from repro.core.kernels import KERNELS
 from repro.core.pairtable import PairTable
 from repro.core.reach import single_reach
 from tests.graph_zoo import zoo, zoo_sym
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_heap():
+    """A round task run in this process freezes its heap (see
+    ``engine._round_task``); give the next test a heap the collector walks."""
+    yield
+    gc.unfreeze()
 
 
 def test_frontier_pdf_types():
@@ -142,6 +151,27 @@ def test_push_acks_sets_quickack_on_tcp_sockets_only():
             s.close()
         os.close(r)
         os.close(w)
+
+
+def test_task_freezes_the_worker_heap_once(monkeypatch):
+    """A reused worker's first task moves its heap to the permanent
+    generation, which the ``gc.collect()`` PySpark runs after every task
+    skips; its later tasks freeze nothing more."""
+    gc.unfreeze()
+    monkeypatch.setattr(enginemod, "_heap_frozen", False)
+    c = zoo()["path"]
+    g = Engine(None, c, Counters())._local_g
+    params = {"direction": "fwd", "visited": np.zeros(c.n, bool), "tau": 1, "two_pass": False}
+    element = ({0: ("sparse_reach", params)}, [(0, {"v": np.array([0])})])
+    task = enginemod._round_task(SimpleNamespace(value=g))
+    before = gc.get_freeze_count()
+    list(task(0, iter([element])))
+    assert gc.get_freeze_count() > before
+    made_since = [[] for _ in range(8)]  # tracked objects a second freeze would take
+    list(task(0, iter([element])))
+    walked = {id(o) for o in gc.get_objects()}  # every generation but the frozen one
+    assert id(element[1]) not in walked
+    assert all(id(x) in walked for x in made_since)
 
 
 def test_task_pushes_acks_before_reading_input(monkeypatch):
@@ -350,18 +380,16 @@ def test_engine_warms_spark_slices_workers(spark, monkeypatch):
     assert tasks == [enginemod.SPARK_SLICES]
 
 
-@pytest.mark.spark
-def test_spark_round_is_one_job_one_stage(spark):
-    """One round is one barrier: a fused forward + backward call runs a
-    single Spark job with a single stage (no shuffle), described as
-    ``<kernels>/r<round>``; its small frontiers make it exactly one task,
-    and its rows equal the driver path's."""
+def _one_round_job(spark, group: str) -> tuple[int, int]:
+    """Run a fused forward + backward round of 64-row frontiers on both
+    paths; check that the Spark round's rows equal the driver path's and
+    that it ran as one job with one stage; return the job's id and the
+    stage's task count."""
     sc = spark.sparkContext
     c = zoo()["lattice"]
     queries = [_sparse_query(c.n, "fwd", 64), _sparse_query(c.n, "bwd", 64)]
     want = Engine(None, c, Counters()).run(queries)
     eng = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0)
-    group = "test-one-job-per-round"
     sc.setJobGroup(group, "one round")
     try:
         got = eng.run(queries)
@@ -377,9 +405,29 @@ def test_spark_round_is_one_job_one_stage(spark):
     assert len(jobs) == 1
     stages = tracker.getJobInfo(jobs[0]).stageIds
     assert len(stages) == 1
-    assert tracker.getStageInfo(stages[0]).numTasks == 1
-    desc = sc._jsc.sc().statusStore().job(jobs[0]).description()
+    return jobs[0], tracker.getStageInfo(stages[0]).numTasks
+
+
+@pytest.mark.spark
+def test_spark_round_is_one_job_one_stage(spark):
+    """One round is one barrier: a fused forward + backward call runs a
+    single Spark job with a single stage (no shuffle), described as
+    ``<kernels>/r<round>``; its small frontiers make it exactly one task,
+    and its rows equal the driver path's."""
+    job, tasks = _one_round_job(spark, "test-one-job-per-round")
+    assert tasks == 1
+    desc = spark.sparkContext._jsc.sc().statusStore().job(job).description()
     assert desc.isDefined() and desc.get() == "sparse_reach+sparse_reach/r1"
+
+
+@pytest.mark.spark
+def test_spark_round_of_four_tasks_is_one_job_one_stage(spark, monkeypatch):
+    """A round that takes four slices is still one job with one stage, now
+    of four tasks, and its rows come back in slice order, equal to the
+    driver path's.  A tiny ``GRAIN`` makes the round take all four."""
+    monkeypatch.setattr(enginemod, "GRAIN", 1)
+    _, tasks = _one_round_job(spark, "test-four-task-round")
+    assert tasks == 4
 
 
 @pytest.mark.spark
