@@ -40,12 +40,10 @@ def get_spark(app: str) -> SparkSession:
 def warm_up(spark: SparkSession) -> None:
     """One untimed round on a 2-vertex graph; making its ``Engine`` runs
     the executor import check on ``SPARK_SLICES`` workers first."""
-    eng = Engine(spark, from_arrays(2, np.array([0]), np.array([1])), Counters(), force_spark=True)
     params = {"direction": "fwd", "visited": np.zeros(2, bool), "tau": 1, "two_pass": False}
-    try:
-        eng.round("sparse_reach", frontier_pdf(np.array([0])), params)
-    finally:
-        eng.close()
+    g = from_arrays(2, np.array([0]), np.array([1]))
+    with Engine(spark, g, Counters(), force_spark=True) as eng:
+        eng.round("sparse_reach", frontier_pdf([0]), params)
 
 
 def main(argv=None) -> int:

@@ -29,28 +29,12 @@ def _pivot(csr: CSR, csr_t: CSR, mask: np.ndarray) -> int:
     return int(np.argmax(deg_prod))
 
 
-def ispan_scc(
-    spark,
-    csr: CSR,
-    *,
-    serial_cutoff: int = 256,
-    force_spark: bool = False,
-    spark_threshold: int = 1 << 30,
-    time_budget_s: float | None = None,
-) -> SCCResult:
+def ispan_scc(spark, csr: CSR, *, serial_cutoff: int = 256, **engine_kw) -> SCCResult:
+    """``engine_kw`` goes to :class:`Engine`."""
     n = csr.n
     csr_t = csr.transpose()
     counters = Counters()
-    engine = Engine(
-        spark,
-        csr,
-        counters,
-        csr_t=csr_t,
-        force_spark=force_spark,
-        spark_threshold=spark_threshold,
-        time_budget_s=time_budget_s,
-    )
-    try:
+    with Engine(spark, csr, counters, csr_t=csr_t, **engine_kw) as engine:
         labels = np.full(n, -1, dtype=np.int64)
         active = np.ones(n, dtype=bool)
         with PhaseTimer(counters, "trim"):
@@ -91,5 +75,3 @@ def ispan_scc(
                     if part.any():
                         worklist.append(part)
         return SCCResult(labels=labels, counters=counters).finalize()
-    finally:
-        engine.close()

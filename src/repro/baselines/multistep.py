@@ -54,28 +54,12 @@ def _iterative_trim(
                 changed = True
 
 
-def multistep_scc(
-    spark,
-    csr: CSR,
-    *,
-    serial_cutoff: int = 256,
-    force_spark: bool = False,
-    spark_threshold: int = 1 << 30,
-    time_budget_s: float | None = None,
-) -> SCCResult:
+def multistep_scc(spark, csr: CSR, *, serial_cutoff: int = 256, **engine_kw) -> SCCResult:
+    """``engine_kw`` goes to :class:`Engine`."""
     n = csr.n
     csr_t = csr.transpose()
     counters = Counters()
-    engine = Engine(
-        spark,
-        csr,
-        counters,
-        csr_t=csr_t,
-        force_spark=force_spark,
-        spark_threshold=spark_threshold,
-        time_budget_s=time_budget_s,
-    )
-    try:
+    with Engine(spark, csr, counters, csr_t=csr_t, **engine_kw) as engine:
         labels = np.full(n, -1, dtype=np.int64)
         active = np.ones(n, dtype=bool)
         with PhaseTimer(counters, "trim"):
@@ -118,11 +102,11 @@ def multistep_scc(
                         frontier_pdf(frontier),
                         {"colors": colors, "active": active},
                     )
-                    if len(out) == 0:
+                    if len(out["v"]) == 0:
                         break
-                    grp = out.groupby("v")["lab"].max()
-                    vs = grp.index.to_numpy(dtype=np.int64)
-                    proposals = grp.to_numpy(dtype=np.int64)
+                    vs, inv = np.unique(out["v"], return_inverse=True)
+                    proposals = np.full(len(vs), np.iinfo(np.int64).min)
+                    np.maximum.at(proposals, inv, out["lab"])
                     better = proposals > colors[vs]
                     colors[vs[better]] = proposals[better]
                     frontier = vs[better]
@@ -142,5 +126,3 @@ def multistep_scc(
                 labels[found] = colors[found]
                 active &= ~found
         return SCCResult(labels=labels, counters=counters).finalize()
-    finally:
-        engine.close()

@@ -60,25 +60,14 @@ def ldd_uf_jtb(
     variant: str = "ours",
     beta: float = 1.2,
     seed: int = 42,
-    force_spark: bool = False,
-    spark_threshold: int = 1 << 30,
-    time_budget_s: float | None = None,
+    **engine_kw,
 ) -> CCResult:
     """Input graph must be symmetric (undirected): every edge (u, v) has
-    its reverse (v, u) in ``csr``."""
+    its reverse (v, u) in ``csr``.  ``engine_kw`` goes to :class:`Engine`."""
     cfg = CC_VARIANTS[variant]
     n = csr.n
     counters = Counters()
-    engine = Engine(
-        spark,
-        csr,
-        counters,
-        csr_t=csr,  # symmetric: G == G^T
-        force_spark=force_spark,
-        spark_threshold=spark_threshold,
-        time_budget_s=time_budget_s,
-    )
-    try:
+    with Engine(spark, csr, counters, csr_t=csr, **engine_kw) as engine:  # symmetric: G == G^T
         rng = np.random.default_rng(seed)
         order = rng.permutation(n).astype(np.int64)
         with PhaseTimer(counters, "ldd"):
@@ -92,5 +81,3 @@ def ldd_uf_jtb(
             clusters, of = np.unique(res.labels, return_inverse=True)
             labels = np.array([uf.find(c) for c in clusters.tolist()], dtype=np.int64)[of]
         return CCResult(labels=labels, counters=counters, ldd_rounds=res.rounds).finalize()
-    finally:
-        engine.close()

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 
 from repro.core.engine import Engine
 from repro.core.scc import batch_sizes
@@ -69,13 +68,13 @@ def ldd(
             continue
         out = engine.round(
             "ldd_reach",
-            pd.DataFrame({"v": f_v, "lab": f_l}),
+            {"v": f_v, "lab": f_l},
             {"visited": visited, "tau": tau, "two_pass": two_pass},
         )
         rounds += 1
         f_v = f_l = np.empty(0, dtype=np.int64)
-        if len(out):
-            v, lab, explored = (out[c].to_numpy() for c in ("v", "lab", "explored"))
+        v, lab, explored = out["v"], out["lab"], out["explored"]
+        if len(v):
             by_prio = np.argsort(priority[lab], kind="stable")
             # First row of each vertex in priority order, kept in that order.
             first = by_prio[np.sort(np.unique(v[by_prio], return_index=True)[1])]

@@ -1,13 +1,14 @@
 """Round engine: one call == one frontier round == one global barrier.
 
 A round takes one or more *queries* ``(kernel, frontier, params)``, each
-frontier a pandas DataFrame, runs each kernel from
-``repro.core.kernels`` over its frontier and returns each query's
-candidate rows.  The driver cuts every frontier's columns into
-contiguous numpy slices and calls the kernel once per slice, so the
-slicing, and with it every task-local dedupe and counter, is the same on
-both execution paths; it concatenates the slices' candidate columns in
-slice order and adds their visit counts to ``Counters.edge_visits``:
+frontier a :data:`~repro.core.kernels.Cols` dict of numpy columns (``v``
+first), runs each kernel from ``repro.core.kernels`` over its frontier
+and returns each query's candidate rows in the same form.  The driver
+cuts every frontier's columns into contiguous slices and calls the
+kernel once per slice, so the slicing, and with it every task-local
+dedupe and counter, is the same on both execution paths; it concatenates
+the slices' candidate columns in slice order and adds their visit counts
+to ``Counters.edge_visits``:
 
 - **Spark path** — one Spark job with one stage and at most k tasks,
   submitted straight to the JVM.  Each ``Engine`` wraps one constant
@@ -88,13 +89,14 @@ submitting Py4J thread; ``collectAsync`` goes through
 ``SparkContext.submitJob``, which cleans one closure of the 25 KB
 ``AsyncRDDActions``.  That thread's CPU per empty round fell from 4.9-6.7
 ms to 2.1-2.6 ms on a 4-core host.  And after every task of a reused
-worker PySpark's daemon runs ``gc.collect()``, which walks the ~73 K
-objects that importing this module (pandas, ``pyspark.sql``) leaves
-tracked, about 26 ms each time.  Each worker's first round task
-therefore calls ``gc.freeze()`` after it reads the graph, which moves
-that heap to the permanent generation the collector skips: the workers'
+worker PySpark's daemon runs ``gc.collect()``, which walks the ~39 K
+objects that PySpark's worker and this module leave tracked, about 7 ms
+each time on a 4-core host.  Each worker's first round task therefore
+calls ``gc.freeze()`` after it reads the graph, which moves that heap to
+the permanent generation the collector skips.  Measured while this module
+still imported pandas (~73 K objects, 17-26 ms a collect), the workers'
 CPU per empty round fell from 24-31 ms to 0.9-1.3 ms, and with both
-changes an empty round takes 9.5 ms instead of 16 ms
+changes an empty round took 9.5 ms instead of 16 ms
 (``BENCH_round_floor.json``).
 """
 from __future__ import annotations
@@ -109,7 +111,6 @@ import time
 import zipimport
 
 import numpy as np
-import pandas as pd
 from pyspark.core.rdd import _wrap_function
 from pyspark.serializers import CPickleSerializer
 from pyspark.sql import SparkSession
@@ -188,27 +189,27 @@ def _push_acks() -> None:
 def _freeze_heap_once() -> None:
     """``gc.freeze()`` on this process's first call only (see the module
     docstring).  It keeps a flag: ``gc.get_freeze_count()`` walks the whole
-    frozen heap, about 2 ms per call on a worker's 73 K objects."""
+    frozen heap, about 1 ms per call on a worker's 39 K objects."""
     global _heap_frozen
     if not _heap_frozen:
         gc.freeze()
         _heap_frozen = True
 
 
-def _slices(pdf: pd.DataFrame, k: int) -> list[Cols]:
-    """``pdf``'s columns cut into ``min(k, rows)`` contiguous slices of
-    near-equal size; an empty frontier is one empty slice."""
-    s = max(1, min(k, len(pdf)))
-    bounds = len(pdf) * np.arange(s + 1) // s
-    cols = {c: pdf[c].to_numpy() for c in pdf.columns}
+def _slices(cols: Cols, k: int) -> list[Cols]:
+    """``cols`` cut into ``min(k, rows)`` contiguous slices of near-equal
+    size; an empty frontier is one empty slice."""
+    rows = len(cols["v"])
+    s = max(1, min(k, rows))
+    bounds = rows * np.arange(s + 1) // s
     return [{c: a[lo:hi] for c, a in cols.items()} for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _rows_by_kernel(queries) -> dict[str, int]:
     """Frontier rows per kernel name over a round's queries."""
     rows: dict[str, int] = {}
-    for name, pdf, _ in queries:
-        rows[name] = rows.get(name, 0) + len(pdf)
+    for name, cols, _ in queries:
+        rows[name] = rows.get(name, 0) + len(cols["v"])
     return rows
 
 
@@ -280,11 +281,11 @@ class Engine:
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise TimeoutError("engine time budget exceeded")
 
-    def round(self, kernel_name: str, pdf_in: pd.DataFrame, params: dict) -> pd.DataFrame:
+    def round(self, kernel_name: str, cols: Cols, params: dict) -> Cols:
         """Run one frontier round of one query (see :meth:`run`)."""
-        return self.run([(kernel_name, pdf_in, params)])[0]
+        return self.run([(kernel_name, cols, params)])[0]
 
-    def slice_count(self, queries: list[tuple[str, pd.DataFrame, dict]]) -> int:
+    def slice_count(self, queries: list[tuple[str, Cols, dict]]) -> int:
         """The round's task count k: its estimated edge visits over
         ``GRAIN``, at least 1 and at most ``npartitions`` (see the module
         docstring)."""
@@ -294,16 +295,17 @@ class Engine:
             work += rows if last is None else last[1] * min(rows / last[0], MAX_GROWTH)
         return min(self.npartitions, max(1, math.ceil(work / GRAIN)))
 
-    def run(self, queries: list[tuple[str, pd.DataFrame, dict]]) -> list[pd.DataFrame]:
+    def run(self, queries: list[tuple[str, Cols, dict]]) -> list[Cols]:
         """Run every ``(kernel, frontier, params)`` query in one round;
-        returns each query's candidate rows, the slices' outputs in slice
-        order, and adds their visit counts to the counters."""
+        returns each query's candidate columns, the slices' outputs
+        concatenated in slice order, and adds their visit counts to the
+        counters."""
         self.check_budget()
         self.counters.rounds += 1
         k = self.slice_count(queries)
         per = max(1, k // len(queries))
-        items = [(qi, sl) for qi, (_, pdf, _) in enumerate(queries) for sl in _slices(pdf, per)]
-        rows = sum(len(pdf) for _, pdf, _ in queries)
+        items = [(qi, sl) for qi, (_, cols, _) in enumerate(queries) for sl in _slices(cols, per)]
+        rows = sum(len(cols["v"]) for _, cols, _ in queries)
         if self.spark is not None and (self.force_spark or rows >= self.spark_threshold):
             sc = self.spark.sparkContext
             prev = sc.getLocalProperty("spark.job.description")
@@ -324,9 +326,7 @@ class Engine:
             visits[queries[qi][0]] += v
         self.counters.edge_visits += sum(visits.values())
         self._last.update((name, (r, visits[name])) for name, r in kernel_rows.items() if r)
-        return [
-            pd.DataFrame({c: np.concatenate([x[c] for x in xs]) for c in xs[0]}) for xs in parts
-        ]
+        return [{c: np.concatenate([x[c] for x in xs]) for c in xs[0]} for xs in parts]
 
     def _submit(self, queries, items: list[tuple[int, Cols]], tasks: int) -> list:
         """Run ``items`` as one Spark job of ``tasks`` tasks, each a
@@ -365,15 +365,23 @@ class Engine:
             self.gb.destroy()
             self.gb = None
 
+    def __enter__(self) -> "Engine":
+        return self
 
-def frontier_pdf(vs: np.ndarray) -> pd.DataFrame:
-    return pd.DataFrame({"v": np.asarray(vs, dtype=np.int64)})
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-def pair_pdf(vs: np.ndarray, ss: np.ndarray) -> pd.DataFrame:
-    return pd.DataFrame(
-        {"v": np.asarray(vs, dtype=np.int64), "s": np.asarray(ss, dtype=np.int64)}
-    )
+def frontier_pdf(vs) -> Cols:
+    """A frontier of vertices ``vs``: ``{"v": int64}``.  The name is kept
+    for ``perfbench/run.py``'s ``floor_probe``, which passes its result to
+    :meth:`Engine.round`."""
+    return {"v": np.asarray(vs, dtype=np.int64)}
+
+
+def pair_pdf(vs, ss) -> Cols:
+    """A frontier of (vertex, source) pairs: ``{"v", "s": int64}``."""
+    return {"v": np.asarray(vs, dtype=np.int64), "s": np.asarray(ss, dtype=np.int64)}
 
 
 def merge_explored(keys: np.ndarray, explored: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -96,8 +96,7 @@ def multi_reach(
         ]
         for d, out in zip(live, engine.run(queries)):
             rounds[d] += 1
-            v, s, explored = (out[c].to_numpy() for c in ("v", "s", "explored"))
-            keys, explored = merge_explored(v * n + s, explored)
+            keys, explored = merge_explored(out["v"] * n + out["s"], out["explored"])
             vs, ss = keys // n, keys % n  # ascending (v, s): fixes the next round's slicing
             engine.counters.pair_inserts += sum(map(tables[d].insert, vs.tolist(), ss.tolist()))
             frontier[d] = (vs[~explored], ss[~explored])

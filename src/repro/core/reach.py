@@ -102,12 +102,12 @@ def single_reach(
             r = res[d]
             r.rounds += 1
             if kernel == "dense_reach":
-                new = np.unique(out["v"].to_numpy(dtype=np.int64))
+                new = np.unique(out["v"])
                 frontier[d] = new[~r.visited[new]]
                 r.visited[frontier[d]] = True
                 r.dense_rounds += 1
             else:
-                vs, explored = merge_explored(out["v"].to_numpy(), out["explored"].to_numpy())
+                vs, explored = merge_explored(out["v"], out["explored"])
                 r.visited[vs] = True
                 frontier[d] = vs[~explored]
                 r.sparse_rounds += 1

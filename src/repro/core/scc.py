@@ -84,15 +84,14 @@ def bgss_scc(
     tau: int | None = None,
     beta: float = DEFAULT_BETA,
     seed: int = 42,
-    force_spark: bool = False,
-    spark_threshold: int = 1 << 30,
-    time_budget_s: float | None = None,
+    **engine_kw,
 ) -> SCCResult:
     """Run BGSS SCC; returns per-vertex labels (equal label <=> same SCC).
 
     ``tau`` overrides the variant's local-search budget in every search
-    kind that has one (the tau study runs ``final`` with each tau).  Raises
-    ``TimeoutError`` if ``time_budget_s`` is exceeded.
+    kind that has one (the tau study runs ``final`` with each tau).
+    ``engine_kw`` goes to :class:`Engine`; raises ``TimeoutError`` if its
+    ``time_budget_s`` is exceeded.
     """
     cfg = dict(VARIANTS[variant])
     if tau is not None:
@@ -102,16 +101,7 @@ def bgss_scc(
     n = csr.n
     csr_t = csr.transpose()
     counters = Counters()
-    engine = Engine(
-        spark,
-        csr,
-        counters,
-        csr_t=csr_t,
-        force_spark=force_spark,
-        spark_threshold=spark_threshold,
-        time_budget_s=time_budget_s,
-    )
-    try:
+    with Engine(spark, csr, counters, csr_t=csr_t, **engine_kw) as engine:
         # Alg. 1 line 1: labels start uniform (-1) — same label <=> "not
         # yet distinguished"; refinement must only ever split groups.
         labels = np.full(n, -1, dtype=np.int64)
@@ -186,5 +176,3 @@ def bgss_scc(
             if finished.all():
                 break
         return result.finalize()
-    finally:
-        engine.close()

@@ -48,22 +48,13 @@ def le_lists(
     order: np.ndarray | None = None,
     variant: str = "ours",
     seed: int = 42,
-    force_spark: bool = False,
-    spark_threshold: int = 1 << 30,
-    time_budget_s: float | None = None,
+    **engine_kw,
 ) -> LEListsResult:
+    """``engine_kw`` goes to :class:`Engine`."""
     cfg = LE_VARIANTS[variant]
     n = csr.n
     counters = Counters()
-    engine = Engine(
-        spark,
-        csr,
-        counters,
-        force_spark=force_spark,
-        spark_threshold=spark_threshold,
-        time_budget_s=time_budget_s,
-    )
-    try:
+    with Engine(spark, csr, counters, **engine_kw) as engine:
         if order is None:
             order = np.random.default_rng(seed).permutation(n).astype(np.int64)
         order = np.asarray(order, dtype=np.int64)
@@ -100,7 +91,7 @@ def le_lists(
                 while f_v:
                     out = engine.round(
                         "lelists_round",
-                        pair_pdf(np.asarray(f_v), np.asarray(f_s)),
+                        pair_pdf(f_v, f_s),
                         {
                             "delta": delta,
                             "d": d,
@@ -112,10 +103,11 @@ def le_lists(
                     rounds += 1
                     d += 1
                     f_v, f_s = [], []
-                    if len(out) == 0:
+                    if len(out["v"]) == 0:
                         break
-                    grp = out.drop_duplicates(["v", "s"])
-                    for v, s in zip(grp["v"].tolist(), grp["s"].tolist()):
+                    # First row of each (v, s) pair, kept in row order: it is the insert order.
+                    first = np.sort(np.unique(out["v"] * n + out["s"], return_index=True)[1])
+                    for v, s in zip(out["v"][first].tolist(), out["s"][first].tolist()):
                         if table.insert(int(v), int(s)):
                             counters.pair_inserts += 1
                             triples.setdefault(int(v), []).append((int(s), d))
@@ -134,5 +126,3 @@ def le_lists(
             prev_pairs = table.size
             counters.table_rehash_cost += table.rehash_cost
         return LEListsResult(lists=lists, counters=counters, rounds=rounds)
-    finally:
-        engine.close()

@@ -82,7 +82,8 @@ def _ldd_row_loop(engine, order, tau):
         if not f_v:
             continue
         params = {"visited": visited, "tau": tau, "two_pass": False}
-        out = engine.round("ldd_reach", pd.DataFrame({"v": f_v, "lab": f_l}), params)
+        frontier = {"v": np.array(f_v, dtype=np.int64), "lab": np.array(f_l, dtype=np.int64)}
+        out = pd.DataFrame(engine.round("ldd_reach", frontier, params))
         rounds += 1
         f_v, f_l = [], []
         if len(out):

@@ -15,6 +15,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.baselines.ispan import ispan_scc
+from repro.baselines.multistep import multistep_scc
+from repro.cc.connectivity import ldd_uf_jtb
 from repro.cc.ldd import ldd
 from repro.core import engine as enginemod
 from repro.core.counters import Counters
@@ -23,6 +26,8 @@ from repro.core.engine import Engine, check_workers, frontier_pdf, pair_pdf
 from repro.core.kernels import KERNELS
 from repro.core.pairtable import PairTable
 from repro.core.reach import single_reach
+from repro.core.scc import bgss_scc
+from repro.lelists.lelists import le_lists
 from tests.graph_zoo import zoo, zoo_sym
 
 
@@ -35,13 +40,15 @@ def _unfreeze_heap():
 
 
 def test_frontier_pdf_types():
-    pdf = frontier_pdf(np.array([1, 2, 3]))
-    assert pdf["v"].dtype == np.int64
+    cols = frontier_pdf(np.array([1, 2, 3], dtype=np.int32))
+    assert list(cols) == ["v"]
+    assert cols["v"].dtype == np.int64 and cols["v"].tolist() == [1, 2, 3]
 
 
 def test_pair_pdf_types():
-    pdf = pair_pdf(np.array([1]), np.array([2]))
-    assert set(pdf.columns) == {"v", "s"}
+    cols = pair_pdf(np.array([1]), np.array([2]))
+    assert list(cols) == ["v", "s"]
+    assert all(a.dtype == np.int64 for a in cols.values())
 
 
 def test_rounds_increment_on_driver_path():
@@ -74,7 +81,7 @@ def test_visits_stripped_from_output():
             "two_pass": False,
         },
     )
-    assert "visits" not in out.columns
+    assert "visits" not in out
     assert (out["v"] >= 0).all()
 
 
@@ -87,6 +94,14 @@ def test_time_budget_zero_raises():
             frontier_pdf(np.array([0])),
             {"direction": "fwd", "visited": np.zeros(6, bool), "tau": 1, "two_pass": False},
         )
+
+
+@pytest.mark.parametrize("solve", [bgss_scc, ldd_uf_jtb, le_lists, multistep_scc, ispan_scc])
+def test_solvers_leave_engine_keywords_to_engine(solve):
+    """Only ``Engine`` declares the execution options: a solver forwards
+    its extra keywords, so an unknown one fails at ``Engine``."""
+    with pytest.raises(TypeError, match=r"Engine\.__init__\(\) got an unexpected keyword"):
+        solve(None, csr=zoo_sym()["web"], force_sparks=True)
 
 
 def test_task_drops_cached_zip_importers(tmp_path):
@@ -206,7 +221,7 @@ def test_spark_equals_driver_dense_round(spark):
     a = e1.round("dense_reach", pdf, params)
     e2 = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0)
     b = e2.round("dense_reach", pdf, params)
-    assert sorted(a["v"].unique().tolist()) == sorted(b["v"].unique().tolist())
+    assert np.unique(a["v"]).tolist() == np.unique(b["v"]).tolist()
     assert e1.counters.edge_visits == e2.counters.edge_visits
     e2.close()
 
@@ -248,8 +263,8 @@ def test_spark_equals_driver_multi(spark):
     a = e1.round("multi_reach", pdf, params)
     e2 = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0)
     b = e2.round("multi_reach", pdf, params)
-    assert set(map(tuple, a[["v", "s"]].to_numpy())) == set(
-        map(tuple, b[["v", "s"]].to_numpy())
+    assert set(zip(a["v"].tolist(), a["s"].tolist())) == set(
+        zip(b["v"].tolist(), b["s"].tolist())
     )
     e2.close()
 
@@ -398,7 +413,7 @@ def _one_round_job(spark, group: str) -> tuple[int, int]:
         sc._jsc.clearJobGroup()
         eng.close()
     for a, b in zip(want, got):
-        pd.testing.assert_frame_equal(a, b)
+        pd.testing.assert_frame_equal(pd.DataFrame(a), pd.DataFrame(b))
     sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events reach the status store
     tracker = sc.statusTracker()
     jobs = tracker.getJobIdsForGroup(group)
@@ -437,6 +452,22 @@ def test_engine_close_unlinks_broadcast_file(spark):
     tmp = spark.sparkContext._temp_dir
     before = len(os.listdir(tmp))
     Engine(spark, zoo()["web"], Counters(), force_spark=True).close()
+    assert len(os.listdir(tmp)) == before
+
+
+@pytest.mark.spark
+def test_engine_block_that_raises_unlinks_broadcast_file(spark):
+    """Leaving a ``with Engine(...)`` block by an exception closes the
+    engine, which removes its graph broadcast's pickle file, and the
+    exception propagates."""
+    Engine(spark, zoo()["path"], Counters()).close()  # worker check done
+    tmp = spark.sparkContext._temp_dir
+    before = len(os.listdir(tmp))
+    with pytest.raises(RuntimeError, match="body"):
+        with Engine(spark, zoo()["web"], Counters(), force_spark=True) as eng:
+            assert len(os.listdir(tmp)) > before
+            raise RuntimeError("body")
+    assert eng.gb is None
     assert len(os.listdir(tmp)) == before
 
 
@@ -523,7 +554,7 @@ def _round_case(name: str):
         return c, pair_pdf(vs, vs % 5), params
     if name == "ldd_reach":
         params = {"visited": visited, "tau": 8, "two_pass": True}
-        return c, pd.DataFrame({"v": vs, "lab": vs % 7}), params
+        return c, {"v": vs, "lab": vs % 7}, params
     if name == "lelists_round":
         delta = np.where(g.random(n) < 0.2, 1, np.iinfo(np.int64).max)
         params = {"delta": delta, "d": 1, "table_keys": table.snapshot(), "n": n, "two_pass": True}
@@ -548,14 +579,15 @@ def test_spark_round_equals_driver_round(spark, monkeypatch, name, k):
         b = e2.round(name, pdf, params)
     finally:
         e2.close()
-    assert len(a) > 0
-    pd.testing.assert_frame_equal(a, b)
+    assert len(a["v"]) > 0
+    assert all(isinstance(x, np.ndarray) for x in (*a.values(), *b.values()))
+    pd.testing.assert_frame_equal(pd.DataFrame(a), pd.DataFrame(b))
     assert e1.counters.edge_visits == e2.counters.edge_visits
 
 
 @pytest.mark.parametrize("name", list(KERNELS))
 def test_round_concatenates_its_slices(monkeypatch, name):
-    """A round's frame is the kernel's output on each slice, concatenated
+    """A round's columns are the kernel's output on each slice, concatenated
     in slice order, and its visit count is the sum of the slices'.  A tiny
     ``GRAIN`` makes the round take three slices."""
     monkeypatch.setattr(enginemod, "GRAIN", 1)
@@ -564,7 +596,7 @@ def test_round_concatenates_its_slices(monkeypatch, name):
     g = eng._local_g
     outs = [KERNELS[name](sl, g, params) for sl in enginemod._slices(pdf, 3)]
     want = pd.concat([pd.DataFrame(o) for o, _ in outs], ignore_index=True)
-    pd.testing.assert_frame_equal(eng.round(name, pdf, params), want)
+    pd.testing.assert_frame_equal(pd.DataFrame(eng.round(name, pdf, params)), want)
     assert len(outs) == 3 and len(want) > 0
     assert eng.counters.edge_visits == sum(v for _, v in outs)
 
