@@ -34,7 +34,6 @@ CC_VARIANTS = {
 class CCResult:
     labels: np.ndarray  # component label (root vertex id) per vertex
     counters: Counters
-    ldd_rounds: int
     n_components: int = 0
 
     def finalize(self) -> "CCResult":
@@ -80,4 +79,4 @@ def ldd_uf_jtb(
                 uf.union(a, b)
             clusters, of = np.unique(res.labels, return_inverse=True)
             labels = np.array([uf.find(c) for c in clusters.tolist()], dtype=np.int64)[of]
-        return CCResult(labels=labels, counters=counters, ldd_rounds=res.rounds).finalize()
+        return CCResult(labels=labels, counters=counters).finalize()

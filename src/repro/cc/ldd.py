@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.engine import Engine
-from repro.core.scc import batch_sizes
+from repro.core.scc import batches
 
 
 @dataclass
@@ -45,20 +45,16 @@ def ldd(
 
     visited = np.zeros(n, dtype=bool)
     labels = np.full(n, -1, dtype=np.int64)
-    sizes = batch_sizes(n, beta)
+    todo = batches(order, beta)[::-1]
 
     f_v = np.empty(0, dtype=np.int64)
     f_l = np.empty(0, dtype=np.int64)
-    offset = 0
-    bi = 0
     rounds = 0
-    while bi < len(sizes) or len(f_v):
+    while todo or len(f_v):
         # Inject the next batch of unvisited sources (Alg. 4 line 17):
         # one batch per round, growing by ~beta.
-        if bi < len(sizes):
-            batch = order[offset : offset + sizes[bi]]
-            offset += sizes[bi]
-            bi += 1
+        if todo:
+            batch = todo.pop()
             batch = batch[~visited[batch]]
             visited[batch] = True
             labels[batch] = batch

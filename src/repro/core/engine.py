@@ -379,11 +379,6 @@ def frontier_pdf(vs) -> Cols:
     return {"v": np.asarray(vs, dtype=np.int64)}
 
 
-def pair_pdf(vs, ss) -> Cols:
-    """A frontier of (vertex, source) pairs: ``{"v", "s": int64}``."""
-    return {"v": np.asarray(vs, dtype=np.int64), "s": np.asarray(ss, dtype=np.int64)}
-
-
 def merge_explored(keys: np.ndarray, explored: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct ``keys`` ascending, each flagged if any of its rows was explored."""
     uk, inv = np.unique(keys, return_inverse=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.engine import Engine, merge_explored, pair_pdf
+from repro.core.engine import Engine, merge_explored
 from repro.core.pairtable import PairTable, heuristic_capacity
 
 
@@ -69,7 +69,7 @@ def multi_reach(
     sources = sources[~finished[sources]]
     dirs = ("fwd", "bwd") if direction == "both" else (direction,)
     tables = {d: PairTable(n, capacity=64) for d in dirs}
-    frontier = dict.fromkeys(dirs, (sources, sources))
+    frontier = dict.fromkeys(dirs, {"v": sources, "s": sources})
     rounds = dict.fromkeys(dirs, 0)
     for table in tables.values():
         if sizing == "heuristic":
@@ -77,11 +77,11 @@ def multi_reach(
         for s in sources.tolist():
             table.insert(s, s)
 
-    while live := [d for d in dirs if len(frontier[d][0])]:
+    while live := [d for d in dirs if len(frontier[d]["v"])]:
         queries = [
             (
                 "multi_reach",
-                pair_pdf(*frontier[d]),
+                frontier[d],
                 {
                     "direction": d,
                     "tau": tau,
@@ -99,7 +99,7 @@ def multi_reach(
             keys, explored = merge_explored(out["v"] * n + out["s"], out["explored"])
             vs, ss = keys // n, keys % n  # ascending (v, s): fixes the next round's slicing
             engine.counters.pair_inserts += sum(map(tables[d].insert, vs.tolist(), ss.tolist()))
-            frontier[d] = (vs[~explored], ss[~explored])
+            frontier[d] = {"v": vs[~explored], "s": ss[~explored]}
 
     res = {}
     for d, table in tables.items():

@@ -62,18 +62,18 @@ def trim_numpy(csr: csrmod.CSR, csr_t: csrmod.CSR) -> np.ndarray:
     return (np.diff(csr.indptr) == 0) | (np.diff(csr_t.indptr) == 0)
 
 
-def batch_sizes(n: int, beta: float = DEFAULT_BETA) -> list[int]:
-    """Prefix-doubling batch sizes 1, ~beta, ~beta^2, ... covering n."""
-    sizes = []
-    covered = 0
-    k = 0
-    while covered < n:
-        s = max(1, int(round(beta**k)))
-        s = min(s, n - covered)
-        sizes.append(s)
-        covered += s
-        k += 1
-    return sizes
+def batches(order: np.ndarray, beta: float = DEFAULT_BETA) -> list[np.ndarray]:
+    """Cut ``order`` into consecutive prefix-doubling batches of about 1,
+    beta, beta^2, ... elements (Alg. 1, Sec. 5.1's LDD injection and
+    Alg. 5 line 2).  Every batch is a non-empty slice of ``order``; the
+    last one takes what is left."""
+    out = []
+    start = 0
+    while start < len(order):
+        stop = start + max(1, int(round(beta ** len(out))))
+        out.append(order[start:stop])
+        start = stop
+    return out
 
 
 def bgss_scc(
@@ -110,17 +110,14 @@ def bgss_scc(
             # Trimmed vertices are singleton SCCs: unique label = own id.
             labels[finished] = np.flatnonzero(finished)
         result = SCCResult(labels=labels, counters=counters)
-        if n == 0:
-            return result.finalize()
-
         rng = np.random.default_rng(seed)
         order = rng.permutation(np.flatnonzero(~finished)).astype(np.int64)
         if len(order) == 0:
             return result.finalize()
-        sizes = batch_sizes(len(order), beta)
+        first, *rest = batches(order, beta)
 
         # Batch 1: single source; single-reachability with dense mode.
-        s0 = int(order[0])
+        s0 = int(first[0])
         with PhaseTimer(counters, "first_scc"):
             r = single_reach(
                 engine,
@@ -144,10 +141,7 @@ def bgss_scc(
             )
 
         prev_pairs = len(out_v) + len(in_v)
-        offset = sizes[0]
-        for bsz in sizes[1:]:
-            batch = order[offset : offset + bsz]
-            offset += bsz
+        for batch in rest:
             sources = batch[~finished[batch]]
             if len(sources) == 0:
                 continue

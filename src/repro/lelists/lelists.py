@@ -1,14 +1,17 @@
 """Parallel LE-lists (BGSS Alg. 5) with one-pass frontier maintenance.
 
-Vertices are processed in prefix-doubling batches of a random priority
-order.  Each batch runs a multi-BFS from all its sources simultaneously:
-level by level (VGC is *not* applicable — the BFS order must be
-preserved, paper Sec. 5.2), pruning a pair (u, s) unless its distance
-beats the tentative distance delta(u) carried over from previous batches,
-and deduplicating pairs in the phase-concurrent pair table.  At the end
-of a batch, each touched vertex filters its candidate (source, distance)
-triples in priority order against a running minimum and appends the
-survivors to its LE-list; delta is updated to the new minimum.
+Vertices are processed in prefix-doubling batches 1, 2, 4, ... of a
+random priority order, cut by :func:`repro.core.scc.batches` as in BGSS
+and LDD.  Each batch runs a multi-BFS from all its sources
+simultaneously: level by level (VGC is *not* applicable — the BFS order
+must be preserved, paper Sec. 5.2), pruning a pair (u, s) unless its
+distance beats the tentative distance delta(u) carried over from previous
+batches, and deduplicating pairs in the phase-concurrent pair table.  A
+round's pairs merge as in :func:`repro.core.multireach.multi_reach`:
+sorted distinct keys, one table insert each.  At the end of a batch, one
+walk over its (u, s, d) triples, sorted by vertex and then source
+priority, keeps a triple when d beats delta(u), lowers delta(u) to d and
+appends (s, d) to u's LE-list.
 
 Variants: ``"parlay"`` = the ParlayLib baseline (edge-revisit two-pass
 frontier); ``"ours"`` = single-pass frontier, the hash bag's effect.  This
@@ -22,8 +25,9 @@ import numpy as np
 
 from repro.core import csr as csrmod
 from repro.core.counters import Counters, PhaseTimer
-from repro.core.engine import Engine, pair_pdf
+from repro.core.engine import Engine
 from repro.core.pairtable import PairTable, heuristic_capacity
+from repro.core.scc import batches
 
 LE_VARIANTS = {
     "parlay": dict(two_pass=True),
@@ -35,7 +39,6 @@ LE_VARIANTS = {
 class LEListsResult:
     lists: list[list[tuple[int, int]]]  # per vertex: (source, dist), priority order
     counters: Counters
-    rounds: int = 0
 
     def total_size(self) -> int:
         return sum(len(l) for l in self.lists)
@@ -65,33 +68,21 @@ def le_lists(
         delta = np.full(n, INF, dtype=np.int64)
         lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
-        # Prefix-doubling batches 1, 2, 4, ... (Alg. 5 line 2).
-        offset = 0
-        bsz = 1
-        rounds = 0
         prev_pairs = 0
-        while offset < n:
-            batch = order[offset : offset + bsz]
-            offset += bsz
-            bsz *= 2
+        for batch in batches(order, 2.0):  # Alg. 5 line 2
             table = PairTable(n, capacity=64)
             table.reserve(heuristic_capacity(prev_pairs, n))
-            # Triples S of this batch: (u, s) -> distance.
-            triples: dict[int, list[tuple[int, int]]] = {}
-            f_v: list[int] = []
-            f_s: list[int] = []
-            for s in batch.tolist():
-                if 0 < delta[s]:
-                    table.insert(s, s)
-                    triples.setdefault(s, []).append((s, 0))
-                    f_v.append(s)
-                    f_s.append(s)
+            f_v = f_s = batch[delta[batch] > 0]
+            for s in f_v.tolist():
+                table.insert(s, s)
+            # This batch's triples (u, s, d): source s reaches u at distance d.
+            triples = [(f_v, f_s, np.zeros_like(f_v))]
             d = 0
             with PhaseTimer(counters, "multi_bfs"):
-                while f_v:
+                while len(f_v):
                     out = engine.round(
                         "lelists_round",
-                        pair_pdf(f_v, f_s),
+                        {"v": f_v, "s": f_s},
                         {
                             "delta": delta,
                             "d": d,
@@ -100,29 +91,19 @@ def le_lists(
                             "two_pass": cfg["two_pass"],
                         },
                     )
-                    rounds += 1
                     d += 1
-                    f_v, f_s = [], []
-                    if len(out["v"]) == 0:
-                        break
-                    # First row of each (v, s) pair, kept in row order: it is the insert order.
-                    first = np.sort(np.unique(out["v"] * n + out["s"], return_index=True)[1])
-                    for v, s in zip(out["v"][first].tolist(), out["s"][first].tolist()):
-                        if table.insert(int(v), int(s)):
-                            counters.pair_inserts += 1
-                            triples.setdefault(int(v), []).append((int(s), d))
-                            f_v.append(int(v))
-                            f_s.append(int(s))
+                    keys = np.unique(out["v"] * n + out["s"])
+                    f_v, f_s = keys // n, keys % n
+                    counters.pair_inserts += sum(map(table.insert, f_v.tolist(), f_s.tolist()))
+                    triples.append((f_v, f_s, np.full_like(f_v, d)))
             with PhaseTimer(counters, "collect"):
-                # Alg. 5 lines 5-7: per-vertex priority-order filter.
-                for u, cand in triples.items():
-                    cand.sort(key=lambda t: priority[t[0]])
-                    cur = delta[u]
-                    for s, du in cand:
-                        if du < cur:
-                            cur = du
-                            lists[u].append((s, du))
-                    delta[u] = min(delta[u], cur)
+                # Alg. 5 lines 5-7, for all touched vertices in one walk.
+                u, s, du = map(np.concatenate, zip(*triples))
+                by = np.lexsort((priority[s], u))
+                for ui, si, di in zip(u[by].tolist(), s[by].tolist(), du[by].tolist()):
+                    if di < delta[ui]:
+                        delta[ui] = di
+                        lists[ui].append((si, di))
             prev_pairs = table.size
             counters.table_rehash_cost += table.rehash_cost
-        return LEListsResult(lists=lists, counters=counters, rounds=rounds)
+        return LEListsResult(lists=lists, counters=counters)

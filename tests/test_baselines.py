@@ -89,12 +89,15 @@ def test_baselines_random(seed, algo):
 
 @pytest.mark.spark
 @pytest.mark.parametrize("name", ["two_cliques_bridge", "rmat"])
-def test_multistep_forced_spark_matches_tarjan(spark, name):
-    """Reach and ``color_max`` rounds run as Spark jobs; ``serial_cutoff=0``
-    keeps Tarjan from finishing the graph before the coloring loop."""
+@pytest.mark.parametrize("algo", [multistep_scc, ispan_scc])
+def test_forced_spark_matches_tarjan(spark, algo, name):
+    """Reach (and Multi-step's ``color_max``) rounds run as Spark jobs;
+    ``serial_cutoff=0`` keeps Tarjan from finishing the graph before the
+    coloring loop or the pivot FW-BW searches."""
     c = zoo()[name]
     t_lab, _ = tarjan_scc(c)
-    r = multistep_scc(spark, c, serial_cutoff=0, force_spark=True, spark_threshold=0)
+    r = algo(spark, c, serial_cutoff=0, force_spark=True, spark_threshold=0)
+    assert r.counters.rounds > 0
     assert same_partition(r.labels, t_lab)
 
 

@@ -12,7 +12,7 @@ from repro.core import csr as csrmod
 from repro.core import engine as enginemod
 from repro.core.counters import Counters
 from repro.core.engine import Engine
-from repro.core.scc import batch_sizes
+from repro.core.scc import batches
 from tests.graph_zoo import ZOO_NAMES, same_partition, zoo_sym
 
 
@@ -66,19 +66,16 @@ def _ldd_row_loop(engine, order, tau):
     priority[order] = np.arange(n)
     visited = np.zeros(n, dtype=bool)
     labels = np.full(n, -1, dtype=np.int64)
-    f_v, f_l, offset, rounds = [], [], 0, 0
-    sizes = batch_sizes(n, 1.2)
-    bi = 0
-    while bi < len(sizes) or f_v:
-        if bi < len(sizes):
-            for v in order[offset : offset + sizes[bi]].tolist():
+    f_v, f_l, rounds = [], [], 0
+    todo = batches(order, 1.2)[::-1]
+    while todo or f_v:
+        if todo:
+            for v in todo.pop().tolist():
                 if not visited[v]:
                     visited[v] = True
                     labels[v] = v
                     f_v.append(v)
                     f_l.append(v)
-            offset += sizes[bi]
-            bi += 1
         if not f_v:
             continue
         params = {"visited": visited, "tau": tau, "two_pass": False}

@@ -22,7 +22,7 @@ from repro.cc.ldd import ldd
 from repro.core import engine as enginemod
 from repro.core.counters import Counters
 from repro.core.csr import GraphBroadcast
-from repro.core.engine import Engine, check_workers, frontier_pdf, pair_pdf
+from repro.core.engine import Engine, check_workers, frontier_pdf
 from repro.core.kernels import KERNELS
 from repro.core.pairtable import PairTable
 from repro.core.reach import single_reach
@@ -43,12 +43,6 @@ def test_frontier_pdf_types():
     cols = frontier_pdf(np.array([1, 2, 3], dtype=np.int32))
     assert list(cols) == ["v"]
     assert cols["v"].dtype == np.int64 and cols["v"].tolist() == [1, 2, 3]
-
-
-def test_pair_pdf_types():
-    cols = pair_pdf(np.array([1]), np.array([2]))
-    assert list(cols) == ["v", "s"]
-    assert all(a.dtype == np.int64 for a in cols.values())
 
 
 def test_rounds_increment_on_driver_path():
@@ -258,7 +252,8 @@ def test_spark_equals_driver_multi(spark):
         "table_keys": table.snapshot(),
         "n": c.n,
     }
-    pdf = pair_pdf(np.array([0, 3, 9]), np.array([0, 3, 9]))
+    vs = np.array([0, 3, 9], dtype=np.int64)
+    pdf = {"v": vs, "s": vs}
     e1 = Engine(None, c, Counters())
     a = e1.round("multi_reach", pdf, params)
     e2 = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0)
@@ -551,14 +546,14 @@ def _round_case(name: str):
             "table_keys": table.snapshot(),
             "n": n,
         }
-        return c, pair_pdf(vs, vs % 5), params
+        return c, {"v": vs, "s": vs % 5}, params
     if name == "ldd_reach":
         params = {"visited": visited, "tau": 8, "two_pass": True}
         return c, {"v": vs, "lab": vs % 7}, params
     if name == "lelists_round":
         delta = np.where(g.random(n) < 0.2, 1, np.iinfo(np.int64).max)
         params = {"delta": delta, "d": 1, "table_keys": table.snapshot(), "n": n, "two_pass": True}
-        return c, pair_pdf(vs, vs), params
+        return c, {"v": vs, "s": vs}, params
     params = {"colors": g.permutation(n).astype(np.int64), "active": g.random(n) < 0.8}
     return c, frontier_pdf(vs), params
 

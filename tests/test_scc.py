@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.tarjan import tarjan_scc, scc_stats
 from repro.core import csr as csrmod
-from repro.core.scc import VARIANTS, batch_sizes, bgss_scc
+from repro.core.scc import VARIANTS, batches, bgss_scc
 from tests.graph_zoo import ZOO_NAMES, random_digraph, same_partition, zoo
 
 ALL_VARIANTS = list(VARIANTS.keys())
@@ -63,13 +63,14 @@ def test_tau_override(tau):
     assert same_partition(r.labels, t_lab)
 
 
-def test_batch_sizes_cover_exactly():
+def test_batches_cover_exactly():
     for n in [1, 2, 7, 100, 1000]:
+        order = np.random.default_rng(n).permutation(n)
         for beta in [1.2, 1.5, 2.0]:
-            s = batch_sizes(n, beta)
-            assert sum(s) == n
-            assert all(x >= 1 for x in s)
-    assert batch_sizes(100, 2.0)[:5] == [1, 2, 4, 8, 16]
+            b = batches(order, beta)
+            assert np.array_equal(np.concatenate(b), order)
+            assert all(len(x) >= 1 for x in b)
+    assert [len(x) for x in batches(np.arange(100), 2.0)[:5]] == [1, 2, 4, 8, 16]
 
 
 def test_stats_fields():
