@@ -13,10 +13,11 @@ to ``Counters.edge_visits``:
 - **Spark path** — one Spark job with one stage and at most k tasks,
   submitted straight to the JVM.  Each ``Engine`` wraps one constant
   task command, :func:`_round_task` over the graph's broadcast, as a
-  ``PythonFunction`` in its first Spark round and keeps it, with the JVM
-  class handles, for the rest.  A round dumps one input element per task
-  (that task's ``(qi, slice)`` list and its queries' kernel names and
-  params, each query once) to a temp file, reads it with
+  ``PythonFunction`` in its first Spark round and keeps it for the rest;
+  the JVM class handles it submits through are looked up once per
+  SparkContext (:func:`_jvm_handles`).  A round dumps one input element
+  per task (that task's ``(qi, slice)`` list and its queries' kernel
+  names and params, each query once) to a temp file, reads it with
   ``PythonRDD.readRDDFromFile``, wraps it in a ``PythonRDD``, runs
   ``AsyncRDDActions(rdd).collectAsync().get()``, which returns the
   partitions' rows in partition order, and loads them from the socket of
@@ -111,6 +112,7 @@ import time
 import zipimport
 
 import numpy as np
+from pyspark import SparkContext
 from pyspark.core.rdd import _wrap_function
 from pyspark.serializers import CPickleSerializer
 from pyspark.sql import SparkSession
@@ -128,7 +130,11 @@ GRAIN = 50_000
 # The most a kernel's previous round's visits are scaled up by frontier growth.
 MAX_GROWTH = 4
 
-_checked_contexts: set[str] = set()  # applicationIds whose workers import repro
+# Per SparkContext, keyed by the context object itself: holding it means
+# a stopped context's key cannot be reused by a new one, which gets its own
+# worker check and handles.  ``sc.applicationId`` would cost 2 Py4J calls.
+_checked_contexts: set[SparkContext] = set()  # contexts whose workers import repro
+_handles: dict[SparkContext, tuple] = {}  # see _jvm_handles
 _SER = CPickleSerializer()  # one framed pickle per task input element and per result
 _heap_frozen = False  # set by this process's first round task
 
@@ -137,7 +143,7 @@ def check_workers(spark: SparkSession, tasks: int) -> None:
     """Fail in one line unless ``tasks`` executor tasks import ``repro``
     from the driver's file.  Runs one job per SparkContext."""
     sc = spark.sparkContext
-    if sc.applicationId in _checked_contexts:
+    if sc in _checked_contexts:
         return
 
     def where(_):
@@ -156,7 +162,26 @@ def check_workers(spark: SparkSession, tasks: int) -> None:
         raise RuntimeError(f"executor import check failed: {str(e).splitlines()[0]}") from None
     if got != {want}:
         raise RuntimeError(f"executors do not import repro from {want}: {sorted(got - {want})[0]}")
-    _checked_contexts.add(sc.applicationId)
+    _checked_contexts.add(sc)
+
+
+def _jvm_handles(sc: SparkContext) -> tuple:
+    """``(PythonRDD, PythonRDD.readRDDFromFile, PythonRDD.serveIterator,
+    AsyncRDDActions, ClassTag.AnyRef())`` for ``sc``, looked up on its
+    first Spark round only: each lookup is a Py4J call, 2.4 ms in all
+    (median of 50, 4-core host), which every Engine used to pay."""
+    got = _handles.get(sc)
+    if got is None:
+        jvm = sc._jvm
+        rdd = jvm.PythonRDD
+        got = _handles[sc] = (
+            rdd,
+            rdd.readRDDFromFile,
+            rdd.serveIterator,
+            jvm.org.apache.spark.rdd.AsyncRDDActions,
+            jvm.scala.reflect.ClassTag.AnyRef(),
+        )
+    return got
 
 
 def _drop_zip_importers() -> None:
@@ -340,25 +365,19 @@ class Engine:
         sc = self.spark.sparkContext
         if self._func is None:
             # Once per Engine, and in a round rather than in __init__, so
-            # that an Engine that runs no Spark round pays nothing.  Each
-            # JVM class or static member lookup costs a Py4J call.
+            # that an Engine that runs no Spark round pays nothing.
             self._func = _wrap_function(sc, _round_task(self.gb.handle), _SER, _SER)
-            jvm = sc._jvm
-            self._jvm_rdd = jvm.PythonRDD
-            self._read_file = self._jvm_rdd.readRDDFromFile
-            self._serve = self._jvm_rdd.serveIterator
-            self._async = jvm.org.apache.spark.rdd.AsyncRDDActions
-            self._any_ref = jvm.scala.reflect.ClassTag.AnyRef()
+        jvm_rdd, read_file, serve, async_actions, any_ref = _jvm_handles(sc)
         fd, path = tempfile.mkstemp(dir=sc._temp_dir)
         try:
             with os.fdopen(fd, "wb") as f:
                 _SER.dump_stream(elements, f)
-            jrdd = self._read_file(sc._jsc, path, tasks)  # reads the file eagerly
+            jrdd = read_file(sc._jsc, path, tasks)  # reads the file eagerly
         finally:
             os.unlink(path)
-        rdd = self._jvm_rdd(jrdd.rdd(), self._func, False, False)
-        rows = self._async(rdd, self._any_ref).collectAsync().get()  # partition order
-        return list(_load_from_socket(self._serve(rows.iterator(), "serve round"), _SER))
+        rdd = jvm_rdd(jrdd.rdd(), self._func, False, False)
+        rows = async_actions(rdd, any_ref).collectAsync().get()  # partition order
+        return list(_load_from_socket(serve(rows.iterator(), "serve round"), _SER))
 
     def close(self) -> None:
         if self.gb is not None:

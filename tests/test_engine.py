@@ -511,6 +511,82 @@ def test_worker_check_names_the_executors_path(spark, monkeypatch):
     assert got in str(e.value) and "\n" not in str(e.value)
 
 
+class _JvmView:
+    """Records every attribute lookup and call made through it, as each
+    one would be a Py4J call on a real JVM view."""
+
+    def __init__(self, log: list, path: str = "jvm"):
+        self._log, self._path = log, path
+
+    def __getattr__(self, name):
+        self._log.append(f"{self._path}.{name}")
+        return _JvmView(self._log, f"{self._path}.{name}")
+
+    def __call__(self, *args):
+        self._log.append(f"{self._path}()")
+        return _JvmView(self._log, f"{self._path}()")
+
+
+class _FakeContext:
+    """A SparkContext stand-in that runs the import check in this process
+    and counts its jobs; reading its ``applicationId`` fails."""
+
+    def __init__(self):
+        self.jobs = 0
+        self.lookups: list = []
+        self._jvm = _JvmView(self.lookups)
+
+    @property
+    def applicationId(self):
+        raise AssertionError("applicationId costs Py4J calls")
+
+    def parallelize(self, data, _slices):
+        self.jobs += 1
+        return SimpleNamespace(map=lambda f: SimpleNamespace(collect=lambda: [f(x) for x in data]))
+
+
+def test_worker_check_and_jvm_handles_are_per_context(monkeypatch):
+    """Each SparkContext object gets one worker check and one lookup of
+    its JVM handles, however many Engines use it; a new context gets its
+    own of both, without reading ``applicationId``."""
+    monkeypatch.setattr(enginemod, "_checked_contexts", set())
+    monkeypatch.setattr(enginemod, "_handles", {})
+    handles = []
+    for sc in (_FakeContext(), _FakeContext()):
+        session = SimpleNamespace(sparkContext=sc)
+        check_workers(session, 2)
+        handles.append(enginemod._jvm_handles(sc))
+        looked = len(sc.lookups)
+        check_workers(session, 2)
+        assert enginemod._jvm_handles(sc) is handles[-1]
+        assert sc.jobs == 1 and len(sc.lookups) == looked > 0
+    assert handles[0] is not handles[1]
+
+
+@pytest.mark.spark
+def test_engines_share_their_contexts_jvm_handles(spark, monkeypatch):
+    """Two Engines on one session look the JVM handles up once between
+    them, and both run their Spark rounds with them."""
+
+    class Counting(dict):
+        made = 0
+
+        def __setitem__(self, key, value):
+            Counting.made += 1
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(enginemod, "_handles", Counting())
+    c = zoo()["lattice"]
+    for _ in range(2):
+        eng = Engine(spark, c, Counters(), force_spark=True, spark_threshold=0)
+        try:
+            eng.run([_sparse_query(c.n, "fwd", 8)])
+        finally:
+            eng.close()
+        assert eng.counters.rounds == 1
+    assert Counting.made == 1
+
+
 def _round_case(name: str):
     """A frontier and params for one round of kernel ``name`` that takes
     both the one-hop path (out-degree > tau) and the local search."""

@@ -144,24 +144,29 @@ def test_partial_expansion_requeue():
 def test_local_search_fully_expands_its_start(name):
     """The start vertex is never cut and nothing ``admit`` rejected is
     handed back: ``queue[0] == v``, ``qi >= 1`` and ``queue[1:]`` is
-    exactly what ``admit`` accepted, in order.  The kernels emit no row
-    for a vertex visited before the round on this invariant alone."""
+    exactly what ``admit`` returned over its calls, in order.  The
+    kernels emit no row for a vertex visited before the round on this
+    invariant alone.  The CSR is read through memoryviews, as the kernels
+    read it."""
     c = zoo()[name]
     t = c.transpose()
     rng = np.random.default_rng(1)
     for ip, ix in ((c.indptr, c.indices), (t.indptr, t.indices)):
+        ip, ix = memoryview(ip), memoryview(ix)
         for v in range(c.n):
             visited = rng.random(c.n) < 0.3
             visited[v] = True
             for tau in (1, 2, 8, 512):
                 seen, admitted = set(), []
 
-                def admit(x, u):
-                    if visited[u] or u in seen:
-                        return False
-                    seen.add(u)
-                    admitted.append(u)
-                    return True
+                def admit(x, nbrs):
+                    out = []
+                    for u in nbrs:
+                        if not visited[u] and u not in seen:
+                            seen.add(u)
+                            out.append(u)
+                    admitted.extend(out)
+                    return out
 
                 queue, qi, _ = local_search(ip, ix, v, tau, admit)
                 assert queue[0] == v and qi >= 1
