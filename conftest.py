@@ -2,14 +2,27 @@ import os
 import sys
 
 
+def _half_mem_total() -> str:
+    """Half of ``MemTotal``, clamped to 2-8 GiB (the rule of ROADMAP's
+    tier-1 command); 2g if ``/proc/meminfo`` cannot be read."""
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemTotal:"):
+                    return f"{min(max(int(line.split()[1]) >> 21, 2), 8)}g"  # kB -> GiB / 2
+    except (OSError, ValueError):
+        pass
+    return "2g"
+
+
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    limit > half of MemTotal, clamped to 2-8 GiB. spark.driver.memory is
+    read at JVM launch, not from SparkConf, so it must be in
+    PYSPARK_SUBMIT_ARGS before pyspark is imported anywhere — this runs
+    at conftest import, which pytest loads before any test module.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -33,8 +46,8 @@ def _driver_mem() -> str:
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "meminfo"
+    return _half_mem_total()
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())

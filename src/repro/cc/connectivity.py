@@ -57,7 +57,6 @@ def ldd_uf_jtb(
     *,
     csr: csrmod.CSR,
     variant: str = "ours",
-    beta: float = 1.2,
     seed: int = 42,
     **engine_kw,
 ) -> CCResult:
@@ -70,7 +69,7 @@ def ldd_uf_jtb(
         rng = np.random.default_rng(seed)
         order = rng.permutation(n).astype(np.int64)
         with PhaseTimer(counters, "ldd"):
-            res = ldd(engine, order, beta=beta, tau=cfg["tau"], two_pass=cfg["two_pass"])
+            res = ldd(engine, order, tau=cfg["tau"], two_pass=cfg["two_pass"])
         with PhaseTimer(counters, "union_find"):
             src = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
             la, lb = cross_cluster_edges_np(src, csr.indices, res.labels)

@@ -23,6 +23,8 @@ import numpy as np
 from repro.core.engine import Engine
 from repro.core.scc import batches
 
+LDD_BETA = 1.2  # the batches' growth per round, as in Sec. 5.1
+
 
 @dataclass
 class LDDResult:
@@ -34,7 +36,6 @@ def ldd(
     engine: Engine,
     order: np.ndarray,
     *,
-    beta: float = 1.2,
     tau: int = 1,
     two_pass: bool = False,
 ) -> LDDResult:
@@ -45,14 +46,14 @@ def ldd(
 
     visited = np.zeros(n, dtype=bool)
     labels = np.full(n, -1, dtype=np.int64)
-    todo = batches(order, beta)[::-1]
+    todo = batches(order, LDD_BETA)[::-1]
 
     f_v = np.empty(0, dtype=np.int64)
     f_l = np.empty(0, dtype=np.int64)
     rounds = 0
     while todo or len(f_v):
         # Inject the next batch of unvisited sources (Alg. 4 line 17):
-        # one batch per round, growing by ~beta.
+        # one batch per round, growing by ~LDD_BETA.
         if todo:
             batch = todo.pop()
             batch = batch[~visited[batch]]

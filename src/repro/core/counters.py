@@ -1,6 +1,6 @@
 """Work/round counters and the documented 96-core cost model.
 
-Wall-clock numbers from a 16-core laptop-scale Spark cannot be compared to
+Wall-clock numbers from a 4-core local Spark cannot be compared to
 the paper's 96-core C++ runs.  What *does* transfer is the cost structure:
 
     T  ~=  (edge visits + table work) / (P * R_e)  +  rounds * t_barrier
@@ -63,20 +63,14 @@ class PhaseTimer:
         return False
 
 
-def simulated_time(
-    c: Counters,
-    *,
-    cores: int = MODEL_CORES,
-    edge_rate: float = MODEL_EDGE_RATE,
-    barrier: float = MODEL_BARRIER,
-) -> float:
+def simulated_time(c: Counters) -> float:
     """Modeled runtime on the paper's machine, from measured counters:
-    one ``barrier`` per counted round, i.e. per barrier shared by the
-    searches that ran in it."""
+    one ``MODEL_BARRIER`` per counted round, i.e. per barrier shared by
+    the searches that ran in it."""
     work = c.edge_visits + c.table_rehash_cost + c.pair_inserts
-    return work / (cores * edge_rate) + c.rounds * barrier
+    return work / (MODEL_CORES * MODEL_EDGE_RATE) + c.rounds * MODEL_BARRIER
 
 
-def simulated_time_sequential(edge_visits: float, *, edge_rate: float = MODEL_EDGE_RATE) -> float:
+def simulated_time_sequential(edge_visits: float) -> float:
     """Modeled single-core time for a sequential algorithm (no barriers)."""
-    return edge_visits / edge_rate
+    return edge_visits / MODEL_EDGE_RATE

@@ -16,7 +16,8 @@ runs in two places:
 The central routine is :func:`local_search`, the paper's tau-bounded
 *local search* (Sec. 3.1-3.2, Fig. 4), shared by single-reachability
 (:func:`k_sparse_reach`), multi-reachability (:func:`k_multi_reach`,
-Sec. 4.3) and LDD (:func:`k_ldd_reach`, Sec. 5.1):
+Sec. 4.3; LE-lists' BFS levels are its rounds at tau = 1, Sec. 5.2) and
+LDD (:func:`k_ldd_reach`, Sec. 5.1):
 
 - a frontier vertex with out-degree > tau processes all its neighbors the
   standard (one-hop) way — there is already enough work;
@@ -205,11 +206,14 @@ def k_multi_reach(cols: Cols, g, p) -> tuple[Cols, int]:
     """Multi-reachability sparse round over (v, s) pairs (Sec. 4.3).
 
     params: direction, tau, two_pass, labels (int[n]), finished
-    (bool[n]), table_keys (PairTable snapshot, holding the frontier's
-    pairs), n.
+    (bool[n]: vertices no pair may enter), table_keys (PairTable
+    snapshot, holding the frontier's pairs), n.
     A pair (v, s) local-searches from v, skipping cross edges
     (labels differ) and finished vertices; a reached vertex u yields the
     candidate pair (u, s) unless the snapshot table already has it.
+    Labels of one value mean no cross edges: LE-lists runs each BFS level
+    so, at tau = 1, with finished = delta <= d + 1
+    (:func:`repro.lelists.lelists.level_params`).
     """
     indptr, indices, indptr_t, indices_t = g
     ip, ix = (indptr, indices) if p["direction"] == "fwd" else (indptr_t, indices_t)
@@ -291,44 +295,6 @@ def k_ldd_reach(cols: Cols, g, p) -> tuple[Cols, int]:
     }, visits
 
 
-def k_lelists_round(cols: Cols, g, p) -> tuple[Cols, int]:
-    """One distance level of the batched multi-BFS for LE-lists (Alg. 5).
-
-    VGC is *not* applicable (BFS order must be preserved — paper Sec. 5.2);
-    rounds advance exactly one hop.  params: delta (int64[n], previous-
-    batch tentative distances, ``np.iinfo(np.int64).max`` where none), d
-    (current distance), table_keys, n, two_pass.  A pair (u, s) is a
-    candidate iff d+1 < delta[u] and (u, s) is not already in the pair
-    table.
-    """
-    ip, ix, _, _ = g
-    ipm, ixm = memoryview(ip), memoryview(ix)
-    delta = memoryview(p["delta"])
-    d1 = int(p["d"]) + 1
-    keys = memoryview(p["table_keys"])
-    n = int(p["n"])
-    vs, ss = cols["v"], cols["s"]
-    seen: set[int] = set()  # keys u * n + s emitted by this task
-    out_v: list[int] = []
-    out_s: list[int] = []
-    visits = 0
-    for v, s in zip(vs.tolist(), ss.tolist()):
-        lo, hi = ipm[v], ipm[v + 1]
-        visits += hi - lo
-        for u in ixm[lo:hi]:
-            if d1 >= delta[u]:
-                continue
-            key = u * n + s
-            if key in seen or contains_static(keys, u, s, n):
-                continue
-            seen.add(key)
-            out_v.append(u)
-            out_s.append(s)
-    if p.get("two_pass"):
-        visits += _revisits(ip, vs)
-    return {"v": np.asarray(out_v, dtype=np.int64), "s": np.asarray(out_s, dtype=np.int64)}, visits
-
-
 def k_color_max(cols: Cols, g, p) -> tuple[Cols, int]:
     """Multi-step coloring round: propagate max color along out-edges.
 
@@ -360,6 +326,5 @@ KERNELS = {
     "dense_reach": k_dense_reach,
     "multi_reach": k_multi_reach,
     "ldd_reach": k_ldd_reach,
-    "lelists_round": k_lelists_round,
     "color_max": k_color_max,
 }

@@ -6,7 +6,10 @@ and LDD.  Each batch runs a multi-BFS from all its sources
 simultaneously: level by level (VGC is *not* applicable — the BFS order
 must be preserved, paper Sec. 5.2), pruning a pair (u, s) unless its
 distance beats the tentative distance delta(u) carried over from previous
-batches, and deduplicating pairs in the phase-concurrent pair table.  A
+batches, and deduplicating pairs in the phase-concurrent pair table.
+That is multi-reachability at tau = 1, so each level is one
+``multi_reach`` round (:func:`level_params`): the vertices the next level
+cannot improve are finished, and one label means no cross edges.  A
 round's pairs merge as in :func:`repro.core.multireach.multi_reach`:
 sorted distinct keys, one table insert each.  At the end of a batch, one
 walk over its (u, s, d) triples, sorted by vertex and then source
@@ -33,6 +36,23 @@ LE_VARIANTS = {
     "parlay": dict(two_pass=True),
     "ours": dict(two_pass=False),
 }
+
+
+def level_params(
+    delta: np.ndarray, d: int, table_keys: np.ndarray, labels: np.ndarray, two_pass: bool
+) -> dict:
+    """The ``multi_reach`` params of the level from distance ``d`` to d + 1:
+    tau = 1, forward, ``finished`` where d + 1 does not beat delta, and
+    ``labels`` of one value (int8 zeros, made once per ``le_lists`` call)."""
+    return {
+        "direction": "fwd",
+        "tau": 1,
+        "two_pass": two_pass,
+        "labels": labels,
+        "finished": delta <= d + 1,
+        "table_keys": table_keys,
+        "n": len(delta),
+    }
 
 
 @dataclass
@@ -67,6 +87,7 @@ def le_lists(
         INF = np.iinfo(np.int64).max
         delta = np.full(n, INF, dtype=np.int64)
         lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        labels = np.zeros(n, dtype=np.int8)  # one component: no cross edges
 
         prev_pairs = 0
         for batch in batches(order, 2.0):  # Alg. 5 line 2
@@ -81,15 +102,9 @@ def le_lists(
             with PhaseTimer(counters, "multi_bfs"):
                 while len(f_v):
                     out = engine.round(
-                        "lelists_round",
+                        "multi_reach",
                         {"v": f_v, "s": f_s},
-                        {
-                            "delta": delta,
-                            "d": d,
-                            "table_keys": table.snapshot(),
-                            "n": n,
-                            "two_pass": cfg["two_pass"],
-                        },
+                        level_params(delta, d, table.snapshot(), labels, cfg["two_pass"]),
                     )
                     d += 1
                     keys = np.unique(out["v"] * n + out["s"])

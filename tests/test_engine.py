@@ -286,12 +286,11 @@ def test_reach_spark_full_graph(spark):
 
 
 def _sparse_query(n: int, direction: str, rows: int):
-    params = {
-        "direction": direction,
-        "visited": np.zeros(n, dtype=bool),
-        "tau": 1,
-        "two_pass": False,
-    }
+    """A ``sparse_reach`` query from vertices ``0..rows-1``, visited as
+    ``single_reach`` leaves a frontier."""
+    visited = np.zeros(n, dtype=bool)
+    visited[:rows] = True
+    params = {"direction": direction, "visited": visited, "tau": 1, "two_pass": False}
     return "sparse_reach", frontier_pdf(np.arange(rows)), params
 
 
@@ -589,23 +588,22 @@ def test_engines_share_their_contexts_jvm_handles(spark, monkeypatch):
 
 def _round_case(name: str):
     """A frontier and params for one round of kernel ``name`` that takes
-    both the one-hop path (out-degree > tau) and the local search."""
-    c = zoo_sym()["web"] if name in ("ldd_reach", "lelists_round") else zoo()["web"]
+    both the one-hop path (out-degree > tau) and the local search.  Like
+    every caller's, the frontier is visited (its pairs are in the pair
+    table) and not finished."""
+    c = zoo_sym()["web"] if name == "ldd_reach" else zoo()["web"]
     n = c.n
     g = np.random.default_rng(3)
     vs = np.sort(g.choice(n, 24, replace=False)).astype(np.int64)
     visited = np.zeros(n, dtype=bool)
     visited[vs] = True
-    table = PairTable(n)
-    for v in vs[:6].tolist():
-        table.insert(v, v)
     if name == "sparse_reach":
         params = {
             "direction": "bwd",
             "visited": visited,
             "tau": 8,
             "two_pass": True,
-            "finished": g.random(n) < 0.1,
+            "finished": ~visited & (g.random(n) < 0.1),
             "restrict": g.integers(0, 2, n),
         }
         return c, frontier_pdf(vs), params
@@ -613,12 +611,15 @@ def _round_case(name: str):
         params = {"direction": "fwd", "in_frontier": visited, "finished": None, "restrict": None}
         return c, frontier_pdf(np.flatnonzero(~visited)), params
     if name == "multi_reach":
+        table = PairTable(n)
+        for v in vs.tolist():
+            table.insert(v, v % 5)
         params = {
             "direction": "fwd",
             "tau": 8,
             "two_pass": True,
             "labels": g.integers(0, 2, n),
-            "finished": g.random(n) < 0.1,
+            "finished": ~visited & (g.random(n) < 0.1),
             "table_keys": table.snapshot(),
             "n": n,
         }
@@ -626,10 +627,6 @@ def _round_case(name: str):
     if name == "ldd_reach":
         params = {"visited": visited, "tau": 8, "two_pass": True}
         return c, {"v": vs, "lab": vs % 7}, params
-    if name == "lelists_round":
-        delta = np.where(g.random(n) < 0.2, 1, np.iinfo(np.int64).max)
-        params = {"delta": delta, "d": 1, "table_keys": table.snapshot(), "n": n, "two_pass": True}
-        return c, {"v": vs, "s": vs}, params
     params = {"colors": g.permutation(n).astype(np.int64), "active": g.random(n) < 0.8}
     return c, frontier_pdf(vs), params
 
