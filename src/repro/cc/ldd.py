@@ -8,7 +8,11 @@ its cluster label outward.  The paper's two optimizations map directly:
   — the edge-revisit scheme;
 - ``tau > 1`` (ours) runs the local search so a cluster can grow several
   hops per round, over the frontier's edges in one pass (the hash bag's
-  effect; the kernel's own ``seen`` dict is the next frontier).
+  effect; the vertices a task admits but does not expand are the next
+  frontier).
+
+Each round is a single-reachability sparse round (``k_sparse_reach``,
+submitted as ``ldd_reach``) whose frontier rows carry a ``lab`` column.
 
 Label races are resolved deterministically by minimum source priority
 (stand-in for first-CAS-wins); a cluster is always contained in one
@@ -66,7 +70,7 @@ def ldd(
         out = engine.round(
             "ldd_reach",
             {"v": f_v, "lab": f_l},
-            {"visited": visited, "tau": tau, "two_pass": two_pass},
+            {"direction": "fwd", "visited": visited, "tau": tau, "two_pass": two_pass},
         )
         rounds += 1
         f_v = f_l = np.empty(0, dtype=np.int64)

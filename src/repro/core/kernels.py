@@ -15,9 +15,10 @@ runs in two places:
 
 The central routine is :func:`local_search`, the paper's tau-bounded
 *local search* (Sec. 3.1-3.2, Fig. 4), shared by single-reachability
-(:func:`k_sparse_reach`), multi-reachability (:func:`k_multi_reach`,
-Sec. 4.3; LE-lists' BFS levels are its rounds at tau = 1, Sec. 5.2) and
-LDD (:func:`k_ldd_reach`, Sec. 5.1):
+(:func:`k_sparse_reach`; LDD's cluster growth, Sec. 5.1, is its rounds
+under the name ``ldd_reach``) and multi-reachability
+(:func:`k_multi_reach`, Sec. 4.3; LE-lists' BFS levels are its rounds at
+tau = 1, Sec. 5.2):
 
 - a frontier vertex with out-degree > tau processes all its neighbors the
   standard (one-hop) way — there is already enough work;
@@ -36,8 +37,9 @@ degenerates to plain one-hop BFS (the paper's "plain"/GBBS setting);
 reproducing the Ligra/GBBS *edge-revisit* scheme that the parallel hash
 bag removes.  The hash bag is reproduced by that effect, one pass over
 the frontier's edges as the visit counter shows, not as a data
-structure: a task emits the vertices its own ``seen`` set (or hit list)
-already holds, and the driver merge dedupes and sorts across tasks.
+structure: a task emits what its searches admitted, in admission order
+(or, in a dense round, its hit list), and the driver merge dedupes and
+sorts across tasks.
 
 The paper's local search is a tight sequential loop; here every step of
 it is an interpreter step, so the kernels are written to take few of
@@ -48,8 +50,8 @@ numpy scalar is boxed and no per-vertex slice is copied by ``.tolist()``.
 ``local_search`` applies its budget per vertex and calls ``admit`` once
 per expanded vertex with all the neighbours the budget reaches, not once
 per edge.  Where a kernel takes each vertex at most once per task
-(single-reachability and LDD), one ``bytearray`` marks what is visited,
-finished or already admitted.  On the driver-path replay of every kernel
+(single-reachability), one ``bytearray`` marks what is visited, finished
+or already admitted.  On the driver-path replay of every kernel
 call of eight cc-road graphs (4-core host) ``ldd_reach`` cost 0.45 µs per
 edge visit with numpy reads and one ``admit`` call per edge, and 0.20 µs
 written this way; the rows, their order and the visit counts are the same.
@@ -123,13 +125,18 @@ def _revisits(ip, vs: np.ndarray) -> int:
 
 
 def k_sparse_reach(cols: Cols, g, p) -> tuple[Cols, int]:
-    """Single-reachability sparse round with VGC local search.
+    """Single-reachability sparse round with VGC local search; LDD's
+    round (Alg. 4 lines 12-16) is this kernel too, run as ``ldd_reach``.
 
     params: direction ('fwd'|'bwd'), visited (bool[n] snapshot, holding
     the frontier), tau, two_pass, finished (bool[n] or None), restrict
     (int[n] or None — traverse edge (x,u) only if restrict[x] ==
-    restrict[u]).  Rows come in the iteration order of the task's ``seen``
-    set, which is filled in admission order.
+    restrict[u]).  Rows (v, explored) come in admission order: each
+    source's ``queue[1:]`` in turn.  If the frontier has a ``lab`` column
+    (LDD's cluster labels), each row also carries its source's label as
+    (v, lab, explored); the LDD driver resolves label races by minimum
+    source priority (deterministic stand-in for first-CAS-wins) with a
+    stable sort, so the row order is part of its result.
     """
     indptr, indices, indptr_t, indices_t = g
     ip, ix = (indptr, indices) if p["direction"] == "fwd" else (indptr_t, indices_t)
@@ -153,22 +160,25 @@ def k_sparse_reach(cols: Cols, g, p) -> tuple[Cols, int]:
     ipm, ixm = memoryview(ip), memoryview(ix)
     tau = int(p["tau"])
     sources = cols["v"]
-    seen: set[int] = set()  # task-local "my writes" view of visit[]; its order is the rows'
-    # Admitted and fully expanded.  A vertex is admitted once per task and
-    # never as a source (visited holds the frontier), so this is final.
-    done: list[int] = []
+    out_v: list[int] = []
+    out_e: list[bool] = []
+    counts: list[int] = []  # rows per source
     visits = 0
     for v in sources.tolist():
         queue, qi, t = local_search(ipm, ixm, v, tau, admit)
         visits += t
-        seen.update(queue[1:])
-        done += queue[1:qi]
+        k = len(queue) - 1
+        out_v += queue[1:]
+        # Final: no later search re-admits a vertex or starts from one.
+        out_e += [True] * (qi - 1) + [False] * (k + 1 - qi)
+        counts.append(k)
     if p.get("two_pass"):
         visits += _revisits(ip, sources)
-    vs = np.fromiter(seen, dtype=np.int64, count=len(seen))
-    explored = np.zeros(len(mark), dtype=bool)
-    explored[done] = True
-    return {"v": vs, "explored": explored[vs]}, visits
+    out = {"v": np.asarray(out_v, dtype=np.int64)}
+    if "lab" in cols:
+        out["lab"] = np.repeat(np.asarray(cols["lab"], dtype=np.int64), counts)
+    out["explored"] = np.asarray(out_e, dtype=bool)
+    return out, visits
 
 
 def k_dense_reach(cols: Cols, g, p) -> tuple[Cols, int]:
@@ -259,42 +269,6 @@ def k_multi_reach(cols: Cols, g, p) -> tuple[Cols, int]:
     }, visits
 
 
-def k_ldd_reach(cols: Cols, g, p) -> tuple[Cols, int]:
-    """LDD round (Alg. 4 lines 12-16) with optional local search.
-
-    Input rows (v, lab): frontier vertex carrying its cluster label.
-    params: visited (bool[n] snapshot, holding the frontier), tau,
-    two_pass.  Candidates (u, lab, explored); the driver resolves label
-    races by minimum source priority (deterministic stand-in for
-    first-CAS-wins) with a stable sort, so the row order is part of the
-    result: rows come in admission order.
-    """
-    ip, ix, _, _ = g
-    admit = _first_visits(bytearray(p["visited"]))  # marks what this task admits
-    ipm, ixm = memoryview(ip), memoryview(ix)
-    tau = int(p["tau"])
-    vs, labs = cols["v"], cols["lab"]
-    out_v: list[int] = []
-    out_l: list[int] = []
-    out_e: list[bool] = []
-    visits = 0
-    for v, lab in zip(vs.tolist(), labs.tolist()):
-        queue, qi, t = local_search(ipm, ixm, v, tau, admit)
-        visits += t
-        k = len(queue) - 1
-        out_v += queue[1:]
-        out_l += [lab] * k
-        # Final: no later search re-admits a vertex or starts from one.
-        out_e += [True] * (qi - 1) + [False] * (k + 1 - qi)
-    if p.get("two_pass"):
-        visits += _revisits(ip, vs)
-    return {
-        "v": np.asarray(out_v, dtype=np.int64),
-        "lab": np.asarray(out_l, dtype=np.int64),
-        "explored": np.asarray(out_e, dtype=bool),
-    }, visits
-
-
 def k_color_max(cols: Cols, g, p) -> tuple[Cols, int]:
     """Multi-step coloring round: propagate max color along out-edges.
 
@@ -325,6 +299,6 @@ KERNELS = {
     "sparse_reach": k_sparse_reach,
     "dense_reach": k_dense_reach,
     "multi_reach": k_multi_reach,
-    "ldd_reach": k_ldd_reach,
+    "ldd_reach": k_sparse_reach,  # LDD's rounds: their own counters, slicing, traces
     "color_max": k_color_max,
 }

@@ -78,7 +78,7 @@ def _ldd_row_loop(engine, order, tau):
                     f_l.append(v)
         if not f_v:
             continue
-        params = {"visited": visited, "tau": tau, "two_pass": False}
+        params = {"direction": "fwd", "visited": visited, "tau": tau, "two_pass": False}
         frontier = {"v": np.array(f_v, dtype=np.int64), "lab": np.array(f_l, dtype=np.int64)}
         out = pd.DataFrame(engine.round("ldd_reach", frontier, params))
         rounds += 1

@@ -625,7 +625,7 @@ def _round_case(name: str):
         }
         return c, {"v": vs, "s": vs % 5}, params
     if name == "ldd_reach":
-        params = {"visited": visited, "tau": 8, "two_pass": True}
+        params = {"direction": "fwd", "visited": visited, "tau": 8, "two_pass": True}
         return c, {"v": vs, "lab": vs % 7}, params
     params = {"colors": g.permutation(n).astype(np.int64), "active": g.random(n) < 0.8}
     return c, frontier_pdf(vs), params

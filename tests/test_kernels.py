@@ -9,7 +9,18 @@ and bytes in row order, plus the visit count, so it pins the row order
 that LDD's stable priority merge reads as well as the rows and counters.
 The digests were recorded with the kernels that read the CSR as numpy
 arrays and admitted one edge per call; a rewrite of the kernels must
-leave every one unchanged.
+leave every one unchanged, except as said below.
+
+Twelve ``sparse_reach`` digests (all but ``singleton``, ``no_edges``,
+``self_loop`` and ``two_cycle``, whose rows come in one order either
+way) were re-recorded when the kernel took over LDD's rounds and began
+to emit its rows in admission order, as LDD's kernel did, instead of in
+the iteration order of a task-local set.  A replay of
+every case against the earlier kernel gave the same visits, column
+names, dtypes and rows sorted by ``v`` with their ``explored`` flags, so
+these digests moved by row order alone.  The ``ldd_reach`` digests were
+recorded with LDD's own kernel, since deleted, and hold unchanged under
+``sparse_reach``, which now runs as ``ldd_reach``.
 
 The ``lelists_round`` digests were recorded with LE-lists' own one-hop
 kernel, since deleted: its cases are now encoded by
@@ -20,6 +31,9 @@ encoding.
 from __future__ import annotations
 
 import hashlib
+import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +43,7 @@ from repro.core.pairtable import PairTable
 from repro.lelists.lelists import level_params
 from tests.graph_zoo import ZOO_NAMES, zoo, zoo_sym
 
+BENCHMARK = pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 TAUS = (1, 2, 8, 512)
 INF = np.iinfo(np.int64).max
 # The digests' kernel names in the order they were recorded; a case's seed
@@ -119,7 +134,12 @@ def _cases(name: str, c, rng):
                 visited = rng.random(n) < 0.2
                 visited[vs] = True
                 labs = rng.choice(vs, len(vs))
-                yield {"v": vs, "lab": labs}, {"visited": visited, "tau": tau, "two_pass": two_pass}
+                yield {"v": vs, "lab": labs}, {
+                    "direction": "fwd",
+                    "visited": visited,
+                    "tau": tau,
+                    "two_pass": two_pass,
+                }
     elif name == "lelists_round":
         labels = np.zeros(n, dtype=np.int8)
         for d in (0, 2):
@@ -163,18 +183,18 @@ GOLDEN: dict[tuple[str, str], str] = {
     ("sparse_reach", "no_edges"): "cd8fbc940b03f22d",
     ("sparse_reach", "self_loop"): "bb280db7e26daf63",
     ("sparse_reach", "two_cycle"): "d0311d8d5edcc68b",
-    ("sparse_reach", "path"): "0fd3ec48c1adbb69",
-    ("sparse_reach", "cycle"): "d9d6403d3d9ad630",
-    ("sparse_reach", "two_cliques_bridge"): "91ce0cf6f7430790",
-    ("sparse_reach", "dag"): "33e4546f486c52c8",
-    ("sparse_reach", "star_out"): "deba46df699017de",
-    ("sparse_reach", "rand_sparse"): "9e0d42973b0f0609",
-    ("sparse_reach", "rand_dense"): "63b51851e27e39a5",
-    ("sparse_reach", "rmat"): "1b14a74899cbf637",
-    ("sparse_reach", "web"): "fa177a7a7c1195fd",
-    ("sparse_reach", "knn"): "f70e0c6a2d5b374f",
-    ("sparse_reach", "lattice"): "cc60367e319f015e",
-    ("sparse_reach", "lattice_sparse"): "f338cca2bfdd440f",
+    ("sparse_reach", "path"): "69adbf872e772a3f",
+    ("sparse_reach", "cycle"): "9104e42db375b940",
+    ("sparse_reach", "two_cliques_bridge"): "06fcf7b1a86d2813",
+    ("sparse_reach", "dag"): "1734622193fb3f99",
+    ("sparse_reach", "star_out"): "3ad19265ea0221ed",
+    ("sparse_reach", "rand_sparse"): "3e68b47e42ce2ea4",
+    ("sparse_reach", "rand_dense"): "38a71582b769cf96",
+    ("sparse_reach", "rmat"): "26f6b576ef8076c8",
+    ("sparse_reach", "web"): "e4539cc494cddf9a",
+    ("sparse_reach", "knn"): "640e838535304985",
+    ("sparse_reach", "lattice"): "ce3f4ca75e91908f",
+    ("sparse_reach", "lattice_sparse"): "c59599ea01dc98bf",
     ("dense_reach", "singleton"): "68c44a1e03137190",
     ("dense_reach", "no_edges"): "68c44a1e03137190",
     ("dense_reach", "self_loop"): "a7dd8b24febb2500",
@@ -261,3 +281,14 @@ GOLDEN: dict[tuple[str, str], str] = {
 @pytest.mark.parametrize(("name", "graph"), list(GOLDEN))
 def test_kernel_output_is_pinned(name, graph):
     assert kernel_digest(name, graph) == GOLDEN[name, graph]
+
+
+def test_benchmark_kernel_metrics_name_kernels():
+    """Every per-layer ``kernels.<name>_s`` metric of BENCHMARK.json names a
+    key of ``KERNELS``: perfbench reports one such metric per key, and a
+    traced run exits when a declared metric is missing."""
+    spec = json.loads(BENCHMARK.read_text())
+    metrics = (re.fullmatch(r"kernels\.(\w+)_s", d["name"]) for d in spec["per_layer"])
+    names = {m[1] for m in metrics if m}
+    assert names
+    assert names <= set(KERNELS), names - set(KERNELS)
