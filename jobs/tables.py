@@ -10,9 +10,11 @@ connectivity (ours, DHS'21, SEQ) and LE-lists (ours, ParlayLib, SEQ),
 and ``tau`` is the τ study (BGSS with τ = 1 ... 8192); see
 ``repro.bench.harness.TABLES``.  The paper's Fig. 10 is read from Table
 2's rows by ``jobs/summarize_results.py``.  Prints each (graph, algo) row
-as it finishes, then the whole table; every row is also appended as a
-JSON line to $REPRO_RESULTS.  Exits 1 if any row's answer differs from
-the sequential oracle's.  With a session, the Python workers are started
+as it finishes, then the whole table.  Rows are appended as JSON lines to
+$REPRO_RESULTS only if it is set, so a check run writes no file; to
+publish a table, run it with ``REPRO_RESULTS=bench_results.jsonl``, the
+file ``jobs/summarize_results.py`` reads by default.  Exits 1 if any
+row's answer differs from the sequential oracle's.  With a session, the Python workers are started
 before the first timed cell, which would otherwise pay for them.
 """
 import argparse

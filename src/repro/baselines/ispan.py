@@ -23,8 +23,8 @@ from repro.core.reach import single_reach
 from repro.core.scc import SCCResult
 
 
-def _pivot(csr: CSR, csr_t: CSR, mask: np.ndarray) -> int:
-    deg_prod = (np.diff(csr.indptr) + 1) * (np.diff(csr_t.indptr) + 1)
+def _pivot(csr: CSR, mask: np.ndarray) -> int:
+    deg_prod = (np.diff(csr.indptr) + 1) * (np.diff(csr.transpose().indptr) + 1)
     deg_prod = np.where(mask, deg_prod, -1)
     return int(np.argmax(deg_prod))
 
@@ -32,13 +32,12 @@ def _pivot(csr: CSR, csr_t: CSR, mask: np.ndarray) -> int:
 def ispan_scc(spark, csr: CSR, *, serial_cutoff: int = 256, **engine_kw) -> SCCResult:
     """``engine_kw`` goes to :class:`Engine`."""
     n = csr.n
-    csr_t = csr.transpose()
     counters = Counters()
-    with Engine(spark, csr, counters, csr_t=csr_t, **engine_kw) as engine:
+    with Engine(spark, csr, counters, **engine_kw) as engine:
         labels = np.full(n, -1, dtype=np.int64)
         active = np.ones(n, dtype=bool)
         with PhaseTimer(counters, "trim"):
-            _iterative_trim(csr, csr_t, active, labels, counters)
+            _iterative_trim(csr, active, labels, counters)
 
         worklist: list[np.ndarray] = []
         if active.any():
@@ -59,7 +58,7 @@ def ispan_scc(spark, csr: CSR, *, serial_cutoff: int = 256, **engine_kw) -> SCCR
             phase = "first_scc" if first else "fwbw"
             first = False
             with PhaseTimer(counters, phase):
-                p = _pivot(csr, csr_t, mask)
+                p = _pivot(csr, mask)
                 not_mask = ~mask
                 r = single_reach(
                     engine, np.asarray([p]), direction="both", tau=1, finished=not_mask
@@ -74,4 +73,4 @@ def ispan_scc(spark, csr: CSR, *, serial_cutoff: int = 256, **engine_kw) -> SCCR
                 for part in (rest_fw, rest_bw, rest):
                     if part.any():
                         worklist.append(part)
-        return SCCResult(labels=labels, counters=counters).finalize()
+        return SCCResult(labels=labels, counters=counters)

@@ -21,14 +21,11 @@ from repro.core.reach import single_reach
 from repro.core.scc import SCCResult
 
 
-def _iterative_trim(
-    csr: CSR, csr_t: CSR, active: np.ndarray, labels: np.ndarray, counters: Counters
-) -> None:
+def _iterative_trim(csr: CSR, active: np.ndarray, labels: np.ndarray, counters: Counters) -> None:
     """Repeatedly peel zero-in/out-degree vertices of the active subgraph
     (driver-side; counted as work, not rounds — matches Multi-step's
     cheap trim loops)."""
-    indptr, indices = csr.indptr, csr.indices
-    indptr_t, indices_t = csr_t.indptr, csr_t.indices
+    indptr, indices, indptr_t, indices_t = csr.arrays()
     changed = True
     while changed:
         changed = False
@@ -57,17 +54,16 @@ def _iterative_trim(
 def multistep_scc(spark, csr: CSR, *, serial_cutoff: int = 256, **engine_kw) -> SCCResult:
     """``engine_kw`` goes to :class:`Engine`."""
     n = csr.n
-    csr_t = csr.transpose()
     counters = Counters()
-    with Engine(spark, csr, counters, csr_t=csr_t, **engine_kw) as engine:
+    with Engine(spark, csr, counters, **engine_kw) as engine:
         labels = np.full(n, -1, dtype=np.int64)
         active = np.ones(n, dtype=bool)
         with PhaseTimer(counters, "trim"):
-            _iterative_trim(csr, csr_t, active, labels, counters)
+            _iterative_trim(csr, active, labels, counters)
 
         if active.any():
             with PhaseTimer(counters, "first_scc"):
-                deg_prod = np.diff(csr.indptr) * np.diff(csr_t.indptr)
+                deg_prod = np.diff(csr.indptr) * np.diff(csr.transpose().indptr)
                 deg_prod[~active] = -1
                 pivot = int(np.argmax(deg_prod))
                 inactive = ~active
@@ -83,7 +79,7 @@ def multistep_scc(spark, csr: CSR, *, serial_cutoff: int = 256, **engine_kw) -> 
         while active.any():
             engine.check_budget()
             with PhaseTimer(counters, "trim"):
-                _iterative_trim(csr, csr_t, active, labels, counters)
+                _iterative_trim(csr, active, labels, counters)
             n_active = int(active.sum())
             if n_active == 0:
                 break
@@ -125,4 +121,4 @@ def multistep_scc(spark, csr: CSR, *, serial_cutoff: int = 256, **engine_kw) -> 
                 found = bwr.visited & active
                 labels[found] = colors[found]
                 active &= ~found
-        return SCCResult(labels=labels, counters=counters).finalize()
+        return SCCResult(labels=labels, counters=counters)

@@ -15,10 +15,10 @@ and its host (``cores``, ``python``, ``spark_version``).  A run is "ok"
 only if its whole answer equals the oracle's: the same SCC or CC
 partition, the same LE-lists (the paper checks #SCC and |SCC_1| only).
 Given ``spark=None`` every round runs on the driver; given a session,
-every round is a Spark job.  Rows are also appended as JSON lines to
-``$REPRO_RESULTS`` (default ``bench_results.jsonl``).  A graph's CSR and
-oracle answer are computed once, outside the timed region, and kept on
-its ``GraphSpec``.  A run over its time budget is reported as ``"t"``,
+every round is a Spark job.  If ``$REPRO_RESULTS`` is set, rows are
+also appended to that file as JSON lines; unset, a run writes no file.
+A graph's CSR and oracle answer are computed once, outside the timed
+region, and kept on its ``GraphSpec``.  A run over its time budget is reported as ``"t"``,
 as in the paper's Table 2 (their budget: 5 h on 96 cores; ours default
 300 s).
 """
@@ -74,7 +74,9 @@ class RunRow:
     spark_version: str = pyspark.__version__
 
     def record(self) -> "RunRow":
-        path = os.environ.get("REPRO_RESULTS", "bench_results.jsonl")
+        path = os.environ.get("REPRO_RESULTS")
+        if not path:
+            return self
         try:
             with open(path, "a") as f:
                 f.write(json.dumps(asdict(self)) + "\n")

@@ -34,11 +34,10 @@ CC_VARIANTS = {
 class CCResult:
     labels: np.ndarray  # component label (root vertex id) per vertex
     counters: Counters
-    n_components: int = 0
 
-    def finalize(self) -> "CCResult":
-        self.n_components = len(np.unique(self.labels))
-        return self
+    @property
+    def n_components(self) -> int:
+        return len(np.unique(self.labels))
 
 
 def cross_cluster_edges_np(
@@ -65,7 +64,7 @@ def ldd_uf_jtb(
     cfg = CC_VARIANTS[variant]
     n = csr.n
     counters = Counters()
-    with Engine(spark, csr, counters, csr_t=csr, **engine_kw) as engine:  # symmetric: G == G^T
+    with Engine(spark, csr, counters, **engine_kw) as engine:
         rng = np.random.default_rng(seed)
         order = rng.permutation(n).astype(np.int64)
         with PhaseTimer(counters, "ldd"):
@@ -78,4 +77,4 @@ def ldd_uf_jtb(
                 uf.union(a, b)
             clusters, of = np.unique(res.labels, return_inverse=True)
             labels = np.array([uf.find(c) for c in clusters.tolist()], dtype=np.int64)[of]
-        return CCResult(labels=labels, counters=counters).finalize()
+        return CCResult(labels=labels, counters=counters)

@@ -11,8 +11,9 @@ the slices' candidate columns in slice order and adds their visit counts
 to ``Counters.edge_visits``:
 
 - **Spark path** — one Spark job with one stage and at most k tasks,
-  submitted straight to the JVM.  Each ``Engine`` wraps one constant
-  task command, :func:`_round_task` over the graph's broadcast, as a
+  submitted straight to the JVM.  Each ``Engine`` broadcasts its graph's
+  :meth:`~repro.core.csr.CSR.arrays` once, when it is made, and wraps
+  one constant task command, :func:`_round_task` over that broadcast, as a
   ``PythonFunction`` in its first Spark round and keeps it for the rest;
   the JVM class handles it submits through are looked up once per
   SparkContext (:func:`_jvm_handles`).  A round dumps one input element
@@ -31,7 +32,8 @@ to ``Counters.edge_visits``:
   event log.  Sessions with ``spark.io.encryption.enabled``, where
   PySpark sends data through a socket server instead of a file, are
   refused when the ``Engine`` is made.
-- **Driver path** — the kernel is called directly on the same slices.
+- **Driver path** — the kernel is called directly on the same slices
+  and the same arrays.
   This is ordinary horizontal granularity control (don't distribute tiny
   work) and is used by unit tests; **the table runner forces the Spark
   path for every algorithm whenever it has a session**
@@ -267,7 +269,6 @@ class Engine:
         csr: CSR,
         counters: Counters,
         *,
-        csr_t: CSR | None = None,
         force_spark: bool = False,
         spark_threshold: int = 1 << 30,
         npartitions: int | None = None,
@@ -284,9 +285,8 @@ class Engine:
             self._deadline = time.monotonic() + time_budget_s
         self.gb = None
         self.n = csr.n
+        self._local_g = csr.arrays()
         if spark is None:
-            csr_t = csr_t if csr_t is not None else csr.transpose()
-            self._local_g = (csr.indptr, csr.indices, csr_t.indptr, csr_t.indices)
             return
         if spark.sparkContext._encryption_enabled:
             raise RuntimeError(
@@ -294,13 +294,8 @@ class Engine:
                 "rounds reach the JVM through an unencrypted temp file"
             )
         check_workers(spark, self.npartitions)
-        self.gb = GraphBroadcast(spark, csr, csr_t)
         self._func = None  # the wrapped task command, made by the first Spark round
-        try:
-            self._local_g = self.gb.local_value()
-        except BaseException:
-            self.close()
-            raise
+        self.gb = GraphBroadcast(spark, csr)  # last: no failure can leave it behind
 
     def check_budget(self) -> None:
         if self._deadline is not None and time.monotonic() > self._deadline:
@@ -366,7 +361,7 @@ class Engine:
         if self._func is None:
             # Once per Engine, and in a round rather than in __init__, so
             # that an Engine that runs no Spark round pays nothing.
-            self._func = _wrap_function(sc, _round_task(self.gb.handle), _SER, _SER)
+            self._func = _wrap_function(sc, _round_task(self.gb.bc), _SER, _SER)
         jvm_rdd, read_file, serve, async_actions, any_ref = _jvm_handles(sc)
         fd, path = tempfile.mkstemp(dir=sc._temp_dir)
         try:

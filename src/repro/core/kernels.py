@@ -182,26 +182,25 @@ def k_sparse_reach(cols: Cols, g, p) -> tuple[Cols, int]:
 
 
 def k_dense_reach(cols: Cols, g, p) -> tuple[Cols, int]:
-    """Ligra-style dense round (Sec. 4.2): each *unvisited* vertex scans
-    its in-neighbors (w.r.t. the search direction) and joins the visited
-    set on the first neighbor found in the current frontier.
+    """Ligra-style dense round (Sec. 4.2): each candidate vertex scans its
+    in-neighbors (w.r.t. the search direction) and joins the visited set
+    on the first neighbor found in the current frontier.
 
-    params: direction, in_frontier (bool[n]), finished, restrict.
-    Input rows: the unvisited candidate vertices.
+    params: direction, in_frontier (bool[n]), restrict (int[n] or None).
+    Input rows: the candidates, neither visited nor finished (the driver
+    drops finished vertices, as no search enters them).  Rows (v,
+    explored): each hit once, in input order, never explored.
     """
     indptr, indices, indptr_t, indices_t = g
     # For a forward search, "who can reach me" = in-neighbors = transpose.
     ip, ix = (indptr_t, indices_t) if p["direction"] == "fwd" else (indptr, indices)
     ip, ix = memoryview(ip), memoryview(ix)
     in_frontier = memoryview(p["in_frontier"])
-    finished, restrict = p.get("finished"), p.get("restrict")
-    finished = None if finished is None else memoryview(finished)
+    restrict = p.get("restrict")
     restrict = None if restrict is None else memoryview(restrict)
     hits: list[int] = []
     visits = 0
     for u in cols["v"].tolist():
-        if finished is not None and finished[u]:
-            continue
         ru = None if restrict is None else restrict[u]
         for w in ix[ip[u] : ip[u + 1]]:
             visits += 1

@@ -89,26 +89,22 @@ def single_reach(
             if dense and work > dense_at[d]:
                 in_frontier = np.zeros(n, dtype=bool)
                 in_frontier[frontier[d]] = True
-                cand = np.flatnonzero(~visited)
-                if finished is not None:
-                    cand = cand[~finished[cand]]
+                cand = np.flatnonzero(~visited if finished is None else ~(visited | finished))
                 p = {"in_frontier": in_frontier}
                 queries.append(("dense_reach", frontier_pdf(cand), p))
             else:
-                p = {"visited": visited, "tau": tau, "two_pass": two_pass}
+                p = {"visited": visited, "finished": finished, "tau": tau, "two_pass": two_pass}
                 queries.append(("sparse_reach", frontier_pdf(frontier[d]), p))
-            p.update(direction=d, finished=finished, restrict=restrict)
+            p.update(direction=d, restrict=restrict)
         for d, (kernel, _, _), out in zip(live, queries, engine.run(queries)):
             r = res[d]
             r.rounds += 1
+            # A dense round's rows are unvisited candidates, none explored.
+            vs, explored = merge_explored(out["v"], out["explored"])
+            r.visited[vs] = True
+            frontier[d] = vs[~explored]
             if kernel == "dense_reach":
-                new = np.unique(out["v"])
-                frontier[d] = new[~r.visited[new]]
-                r.visited[frontier[d]] = True
                 r.dense_rounds += 1
             else:
-                vs, explored = merge_explored(out["v"], out["explored"])
-                r.visited[vs] = True
-                frontier[d] = vs[~explored]
                 r.sparse_rounds += 1
     return FwBwReach(res["fwd"], res["bwd"]) if direction == "both" else res[direction]

@@ -46,20 +46,20 @@ VARIANTS = {
 class SCCResult:
     labels: np.ndarray
     counters: Counters
-    n_scc: int = 0
-    scc1_size: int = 0
 
-    def finalize(self) -> "SCCResult":
-        _, counts = np.unique(self.labels, return_counts=True)
-        self.n_scc = len(counts)
-        self.scc1_size = int(counts.max()) if len(counts) else 0
-        return self
+    @property
+    def n_scc(self) -> int:
+        return len(np.unique(self.labels))
+
+    @property
+    def scc1_size(self) -> int:  # 0 for an empty graph
+        return int(np.unique(self.labels, return_counts=True)[1].max(initial=0))
 
 
-def trim_numpy(csr: csrmod.CSR, csr_t: csrmod.CSR) -> np.ndarray:
+def trim_numpy(csr: csrmod.CSR) -> np.ndarray:
     """Trimming (Sec. 4.1): vertices with zero in- or out-degree are
     singleton SCCs, finished before any search."""
-    return (np.diff(csr.indptr) == 0) | (np.diff(csr_t.indptr) == 0)
+    return (np.diff(csr.indptr) == 0) | (np.diff(csr.transpose().indptr) == 0)
 
 
 def batches(order: np.ndarray, beta: float = DEFAULT_BETA) -> list[np.ndarray]:
@@ -99,21 +99,20 @@ def bgss_scc(
             if cfg[kind] != 1:
                 cfg[kind] = tau
     n = csr.n
-    csr_t = csr.transpose()
     counters = Counters()
-    with Engine(spark, csr, counters, csr_t=csr_t, **engine_kw) as engine:
+    with Engine(spark, csr, counters, **engine_kw) as engine:
         # Alg. 1 line 1: labels start uniform (-1) — same label <=> "not
         # yet distinguished"; refinement must only ever split groups.
         labels = np.full(n, -1, dtype=np.int64)
         with PhaseTimer(counters, "trim"):
-            finished = trim_numpy(csr, csr_t)
+            finished = trim_numpy(csr)
             # Trimmed vertices are singleton SCCs: unique label = own id.
             labels[finished] = np.flatnonzero(finished)
         result = SCCResult(labels=labels, counters=counters)
         rng = np.random.default_rng(seed)
         order = rng.permutation(np.flatnonzero(~finished)).astype(np.int64)
         if len(order) == 0:
-            return result.finalize()
+            return result
         first, *rest = batches(order, beta)
 
         # Batch 1: single source; single-reachability with dense mode.
@@ -169,4 +168,4 @@ def bgss_scc(
                 )
             if finished.all():
                 break
-        return result.finalize()
+        return result

@@ -2,6 +2,7 @@
 import numpy as np
 
 from repro.core import csr as csrmod
+from tests.graph_zoo import zoo, zoo_sym
 
 
 def test_from_arrays_basic():
@@ -44,3 +45,29 @@ def test_transpose_involution():
 def test_transpose_degrees_swap():
     c = csrmod.from_arrays(3, np.array([0, 1, 2]), np.array([1, 2, 0]))
     assert c.transpose().out_degree().tolist() == [1, 1, 1]
+
+
+def test_transpose_is_built_once(monkeypatch):
+    """A repeated ``transpose()`` returns the Gᵀ the first call built."""
+    c = zoo()["web"]
+    built = []
+    make = csrmod.from_arrays
+    monkeypatch.setattr(csrmod, "from_arrays", lambda *a: built.append(a) or make(*a))
+    t = c.transpose()
+    assert c.transpose() is t and len(built) == 1
+    assert c.arrays()[2] is t.indptr and len(built) == 1
+
+
+def test_transpose_of_transpose_is_the_graph():
+    c = zoo()["rmat"]
+    assert c.transpose() is not c
+    assert c.transpose().transpose() is c
+
+
+def test_symmetric_graph_is_its_own_transpose():
+    for name, c in zoo_sym().items():
+        assert c.transpose() is c, name
+        assert all(a is b for a, b in zip(c.arrays(), (c.indptr, c.indices) * 2)), name
+    path = zoo()["path"]
+    assert path.transpose() is not path
+    assert path.transpose().neighbors(1).tolist() == [0]

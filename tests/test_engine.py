@@ -21,7 +21,6 @@ from repro.cc.connectivity import ldd_uf_jtb
 from repro.cc.ldd import ldd
 from repro.core import engine as enginemod
 from repro.core.counters import Counters
-from repro.core.csr import GraphBroadcast
 from repro.core.engine import Engine, check_workers, frontier_pdf
 from repro.core.kernels import KERNELS
 from repro.core.pairtable import PairTable
@@ -96,6 +95,13 @@ def test_solvers_leave_engine_keywords_to_engine(solve):
     its extra keywords, so an unknown one fails at ``Engine``."""
     with pytest.raises(TypeError, match=r"Engine\.__init__\(\) got an unexpected keyword"):
         solve(None, csr=zoo_sym()["web"], force_sparks=True)
+
+
+def test_engine_reads_a_symmetric_graph_as_its_own_transpose():
+    """A symmetric graph's kernels read G for Gᵀ: the engine holds no copy."""
+    c = zoo_sym()["web"]
+    g = Engine(None, c, Counters())._local_g
+    assert g[2] is c.indptr and g[3] is c.indices
 
 
 def test_task_drops_cached_zip_importers(tmp_path):
@@ -462,23 +468,6 @@ def test_engine_block_that_raises_unlinks_broadcast_file(spark):
             assert len(os.listdir(tmp)) > before
             raise RuntimeError("body")
     assert eng.gb is None
-    assert len(os.listdir(tmp)) == before
-
-
-@pytest.mark.spark
-def test_failed_engine_init_unlinks_broadcast_file(spark, monkeypatch):
-    """An ``Engine.__init__`` that fails after broadcasting the graph
-    destroys the broadcast before raising."""
-    Engine(spark, zoo()["path"], Counters()).close()  # worker check done
-    tmp = spark.sparkContext._temp_dir
-    before = len(os.listdir(tmp))
-
-    def boom(self):
-        raise RuntimeError("boom")
-
-    monkeypatch.setattr(GraphBroadcast, "local_value", boom)
-    with pytest.raises(RuntimeError, match="boom"):
-        Engine(spark, zoo()["web"], Counters(), force_spark=True)
     assert len(os.listdir(tmp)) == before
 
 

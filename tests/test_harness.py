@@ -99,6 +99,16 @@ def test_unsaved_row_is_reported_and_returned(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and str(tmp_path) in err
 
 
+def test_row_is_not_recorded_unless_asked(tmp_path, monkeypatch):
+    """With ``$REPRO_RESULTS`` unset, a run writes no file: a check run
+    leaves the tracked results in the working directory alone."""
+    monkeypatch.delenv("REPRO_RESULTS")
+    monkeypatch.chdir(tmp_path)
+    row = harness.run_cell(None, THREE_PARTS, "2", "seq")
+    assert row.status == "ok"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "table, oracle",
     [("2", "tarjan_scc"), ("3cc", "seq_cc"), ("3le", "seq_le_lists")],

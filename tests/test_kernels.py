@@ -104,10 +104,10 @@ def _cases(name: str, c, rng):
                     finished = ~visited & (rng.random(n) < 0.2)
                 if extra == "both":
                     restrict = rng.integers(0, 3, n)
-                yield {"v": np.flatnonzero(~visited).astype(np.int64)}, {
+                cand = ~visited if finished is None else ~visited & ~finished
+                yield {"v": np.flatnonzero(cand).astype(np.int64)}, {
                     "direction": direction,
                     "in_frontier": in_frontier,
-                    "finished": finished,
                     "restrict": restrict,
                 }
     elif name == "multi_reach":

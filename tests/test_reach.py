@@ -220,13 +220,14 @@ def test_sparse_round_emits_each_vertex_once(name):
 
 @pytest.mark.parametrize("name", ZOO_NAMES)
 def test_dense_round_emits_each_vertex_once(name):
-    """One slice of all unvisited candidates: exactly the unfinished ones
-    with an in-neighbour (w.r.t. the direction) in the frontier, each once."""
+    """One slice of all candidates, neither visited nor finished: exactly
+    those with an in-neighbour (w.r.t. the direction) in the frontier,
+    each once."""
     c = zoo()[name]
     for direction in ("fwd", "bwd"):
         in_frontier, visited, finished, w, u, g = _one_round_setup(c, direction)
-        p = {"direction": direction, "in_frontier": in_frontier, "finished": finished}
-        rows, _ = k_dense_reach({"v": np.flatnonzero(~visited)}, g, p)
+        p = {"direction": direction, "in_frontier": in_frontier}
+        rows, _ = k_dense_reach({"v": np.flatnonzero(~visited & ~finished)}, g, p)
         want = np.unique(u[in_frontier[w] & ~visited[u] & ~finished[u]])
         assert len(rows["v"]) == len(want)
         assert np.array_equal(np.sort(rows["v"]), want)
