@@ -5,8 +5,7 @@ Runs on the driver; O(m) work, zero barriers.  ``edge_visits`` is
 returned so the cost model can report a modeled sequential time.
 Supports an optional ``allowed`` mask so Multi-step/iSpan can use it as
 their serial-cutoff subroutine on induced subgraphs, and an optional
-``labels_out``/``label_offset`` so callers can write into a global label
-array.
+``labels_out`` so callers can write into a global label array.
 """
 from __future__ import annotations
 

@@ -44,9 +44,10 @@ sorts across tasks.
 The paper's local search is a tight sequential loop; here every step of
 it is an interpreter step, so the kernels are written to take few of
 them per edge visit.  They read the CSR and the n-sized round state
-(``visited``, ``finished``, ``restrict``, ``labels``, ``table_keys``,
-...) through ``memoryview``, whose items are plain ints and bools: no
-numpy scalar is boxed and no per-vertex slice is copied by ``.tolist()``.
+(``visited``, ``finished``, ``restrict``, ``labels``, ...) through
+``memoryview``, whose items are plain ints and bools: no numpy scalar
+is boxed and no per-vertex slice is copied by ``.tolist()``.  The pair
+table's snapshot is a ``set`` of packed keys, probed with ``in``.
 ``local_search`` applies its budget per vertex and calls ``admit`` once
 per expanded vertex with all the neighbours the budget reaches, not once
 per edge.  Where a kernel takes each vertex at most once per task
@@ -61,8 +62,6 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 import numpy as np
-
-from repro.core.pairtable import contains_static
 
 Cols = dict[str, np.ndarray]  # one slice's columns, in or out of a kernel
 
@@ -215,11 +214,11 @@ def k_multi_reach(cols: Cols, g, p) -> tuple[Cols, int]:
     """Multi-reachability sparse round over (v, s) pairs (Sec. 4.3).
 
     params: direction, tau, two_pass, labels (int[n]), finished
-    (bool[n]: vertices no pair may enter), table_keys (PairTable
-    snapshot, holding the frontier's pairs), n.
+    (bool[n]: vertices no pair may enter), table_keys (the PairTable's
+    key set, holding the frontier's pairs as keys v * n + s).
     A pair (v, s) local-searches from v, skipping cross edges
     (labels differ) and finished vertices; a reached vertex u yields the
-    candidate pair (u, s) unless the snapshot table already has it.
+    candidate pair (u, s) unless the table already has its key.
     Labels of one value mean no cross edges: LE-lists runs each BFS level
     so, at tau = 1, with finished = delta <= d + 1
     (:func:`repro.lelists.lelists.level_params`).
@@ -228,8 +227,8 @@ def k_multi_reach(cols: Cols, g, p) -> tuple[Cols, int]:
     ip, ix = (indptr, indices) if p["direction"] == "fwd" else (indptr_t, indices_t)
     labels = memoryview(p["labels"])
     finished = memoryview(p["finished"])
-    keys = memoryview(p["table_keys"])
-    n = int(p["n"])
+    keys = p["table_keys"]
+    n = len(finished)
     tau = int(p["tau"])
     vs, ss = cols["v"], cols["s"]
     seen: set[int] = set()  # keys u * n + s admitted by this task
@@ -245,7 +244,7 @@ def k_multi_reach(cols: Cols, g, p) -> tuple[Cols, int]:
             if finished[u] or labels[u] != lx:
                 continue
             key = u * n + s
-            if key in seen or contains_static(keys, u, s, n):
+            if key in seen or key in keys:
                 continue
             seen.add(key)
             out.append(u)

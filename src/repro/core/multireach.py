@@ -2,9 +2,11 @@
 
 Runs a batch of sources simultaneously, maintaining (vertex, source)
 reachability pairs in a :class:`~repro.core.pairtable.PairTable` — the
-phase-concurrent hash table of the paper.  Cross edges (endpoints with
-different labels) and finished vertices are skipped inside the kernel, as
-in BGSS's MultiReach.
+phase-concurrent hash table of the paper.  Each round ships every
+table's key set (:meth:`~repro.core.pairtable.PairTable.snapshot`) to
+the ``multi_reach`` kernel, which drops a candidate pair whose key it
+holds.  Cross edges (endpoints with different labels) and finished
+vertices are skipped inside the kernel, as in BGSS's MultiReach.
 
 Two sizing policies (Sec. 4.5):
 
@@ -68,7 +70,7 @@ def multi_reach(
     sources = np.asarray(sources, dtype=np.int64)
     sources = sources[~finished[sources]]
     dirs = ("fwd", "bwd") if direction == "both" else (direction,)
-    tables = {d: PairTable(n, capacity=64) for d in dirs}
+    tables = {d: PairTable(n) for d in dirs}
     frontier = dict.fromkeys(dirs, {"v": sources, "s": sources})
     rounds = dict.fromkeys(dirs, 0)
     for table in tables.values():
@@ -89,7 +91,6 @@ def multi_reach(
                     "labels": labels,
                     "finished": finished,
                     "table_keys": tables[d].snapshot(),
-                    "n": n,
                 },
             )
             for d in live

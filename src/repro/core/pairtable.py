@@ -8,18 +8,19 @@ number of pairs generated by the previous frontier and ``b`` the number of
 unfinished vertices — avoiding the repeated grow-on-demand rebuilds of the
 GBBS baseline, whose table starts tiny and doubles whenever it fills.
 
-This port is an open-addressing (linear probing) numpy table keyed by the
-packed 64-bit integer ``v * n + s``.  The driver inserts; executor-side
-kernels receive the raw ``keys`` array as a read-only snapshot and probe
-it with :func:`contains_static`.  ``rehash_cost`` counts every slot
-touched by a rebuild — the quantity behind the paper's "hash table
-resizing" breakdown bars (Fig. 9).
+Here the driver inserts one pair at a time and executor-side kernels only
+read a snapshot, so none of the table's concurrency is reproduced and only
+two things about it can be observed: which pairs it holds, and the slots
+its rebuilds touch.  This port keeps exactly those: a Python ``set`` of the
+packed keys ``v * n + s``, which kernels receive as a read-only snapshot
+and test with ``in``, plus the capacity of the open-addressing table it
+stands for.  ``rehash_cost`` counts every slot a rebuild of that table
+would touch — the quantity behind the paper's "hash table resizing"
+breakdown bars (Fig. 9).
 """
 from __future__ import annotations
 
 import numpy as np
-
-EMPTY = -1
 
 
 def next_pow2(x: int) -> int:
@@ -32,47 +33,24 @@ def heuristic_capacity(prev_frontier_pairs: int, unfinished: int) -> int:
     return next_pow2(int(np.ceil(want / 0.75)))  # headroom for load factor
 
 
-def _probe_index(keys: np.ndarray, key: int) -> int:
-    """First slot where ``key`` lives or could be placed (linear probe).
-
-    The probe starts at the top b bits of the 64-bit multiplicative hash
-    for a table of 2^b slots (Knuth, TAOCP 3 §6.4).  The hash's low bits depend
-    only on the low bits of ``key = v * n + s``, which are ``s``'s when
-    2^b divides ``n``: they would start all of one source's pairs in one
-    probe run."""
-    cap = len(keys)
-    i = ((key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF) >> (65 - cap.bit_length())
-    while True:
-        k = keys[i]
-        if k == key or k == EMPTY:
-            return i
-        i += 1
-        if i == cap:
-            i = 0
-
-
-def contains_static(keys: np.ndarray, v: int, s: int, n: int) -> bool:
-    """Probe a read-only snapshot (executor side; no insertion)."""
-    return keys[_probe_index(keys, v * n + s)] != EMPTY
-
-
 class PairTable:
-    """Driver-side (v, s) pair table with counted rebuild cost."""
+    """Driver-side (v, s) pair set with the capacity and rebuild cost of
+    an open-addressing table: it doubles before any insert at 3/4 load."""
 
     def __init__(self, n: int, capacity: int = 64):
         self.n = n
         self.capacity = next_pow2(capacity)
-        self.keys = np.full(self.capacity, EMPTY, dtype=np.int64)
-        self.size = 0
+        self.keys: set[int] = set()
         self.rehash_cost = 0  # slots touched by rebuilds
 
+    @property
+    def size(self) -> int:
+        return len(self.keys)
+
     def _grow(self, new_capacity: int) -> None:
-        old = self.keys
+        """A rebuild reads every old slot and writes every new one."""
+        self.rehash_cost += self.capacity + new_capacity
         self.capacity = new_capacity
-        self.keys = np.full(new_capacity, EMPTY, dtype=np.int64)
-        self.rehash_cost += len(old) + new_capacity
-        for k in old[old != EMPTY]:
-            self.keys[_probe_index(self.keys, int(k))] = int(k)
 
     def reserve(self, capacity: int) -> None:
         """Grow (never shrink) to at least ``capacity`` slots."""
@@ -82,25 +60,23 @@ class PairTable:
 
     def insert(self, v: int, s: int) -> bool:
         """Insert pair; returns True iff it was new."""
-        if self.size * 4 >= self.capacity * 3:
+        if len(self.keys) * 4 >= self.capacity * 3:
             self._grow(self.capacity * 2)
         key = v * self.n + s
-        i = _probe_index(self.keys, key)
-        if self.keys[i] == key:
+        if key in self.keys:
             return False
-        self.keys[i] = key
-        self.size += 1
+        self.keys.add(key)
         return True
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         v, s = pair
-        return contains_static(self.keys, v, s, self.n)
+        return v * self.n + s in self.keys
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All (v, s) pairs as two arrays (unordered)."""
-        ks = self.keys[self.keys != EMPTY]
-        return (ks // self.n).astype(np.int64), (ks % self.n).astype(np.int64)
+        ks = np.fromiter(self.keys, dtype=np.int64, count=len(self.keys))
+        return ks // self.n, ks % self.n
 
-    def snapshot(self) -> np.ndarray:
-        """Read-only key array for shipping to executor kernels."""
+    def snapshot(self) -> set[int]:
+        """The key set, for executor kernels to read and never modify."""
         return self.keys

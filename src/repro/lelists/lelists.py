@@ -39,7 +39,7 @@ LE_VARIANTS = {
 
 
 def level_params(
-    delta: np.ndarray, d: int, table_keys: np.ndarray, labels: np.ndarray, two_pass: bool
+    delta: np.ndarray, d: int, table_keys: set[int], labels: np.ndarray, two_pass: bool
 ) -> dict:
     """The ``multi_reach`` params of the level from distance ``d`` to d + 1:
     tau = 1, forward, ``finished`` where d + 1 does not beat delta, and
@@ -51,7 +51,6 @@ def level_params(
         "labels": labels,
         "finished": delta <= d + 1,
         "table_keys": table_keys,
-        "n": len(delta),
     }
 
 
@@ -91,7 +90,7 @@ def le_lists(
 
         prev_pairs = 0
         for batch in batches(order, 2.0):  # Alg. 5 line 2
-            table = PairTable(n, capacity=64)
+            table = PairTable(n)
             table.reserve(heuristic_capacity(prev_pairs, n))
             f_v = f_s = batch[delta[batch] > 0]
             for s in f_v.tolist():

@@ -256,7 +256,6 @@ def test_spark_equals_driver_multi(spark):
         "labels": np.zeros(c.n, dtype=np.int64),
         "finished": np.zeros(c.n, dtype=bool),
         "table_keys": table.snapshot(),
-        "n": c.n,
     }
     vs = np.array([0, 3, 9], dtype=np.int64)
     pdf = {"v": vs, "s": vs}
@@ -610,7 +609,6 @@ def _round_case(name: str):
             "labels": g.integers(0, 2, n),
             "finished": ~visited & (g.random(n) < 0.1),
             "table_keys": table.snapshot(),
-            "n": n,
         }
         return c, {"v": vs, "s": vs % 5}, params
     if name == "ldd_reach":

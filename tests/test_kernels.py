@@ -125,7 +125,6 @@ def _cases(name: str, c, rng):
                         "labels": labels,
                         "finished": finished,
                         "table_keys": table.snapshot(),
-                        "n": n,
                     }
     elif name == "ldd_reach":
         for tau in TAUS:

@@ -1,20 +1,12 @@
 """Tests for the phase-concurrent pair table + §4.5 sizing heuristic."""
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pairtable import (
-    PairTable,
-    _probe_index,
-    contains_static,
-    heuristic_capacity,
-    next_pow2,
-)
+from repro.core.pairtable import PairTable, heuristic_capacity, next_pow2
 
 
 def test_next_pow2():
-    assert next_pow2(1) == 2 or next_pow2(1) in (1, 2)
+    assert next_pow2(1) == 2
     assert next_pow2(16) == 16
     assert next_pow2(17) == 32
     assert next_pow2(1000) == 1024
@@ -68,14 +60,38 @@ def test_reserve_never_shrinks():
     assert t.capacity == 1024
 
 
-def test_snapshot_static_probe():
+def test_snapshot_holds_packed_keys():
+    """Kernels test a pair (v, s) against the snapshot as ``v * n + s in keys``."""
     t = PairTable(77)
     t.insert(10, 20)
     t.insert(0, 0)
     keys = t.snapshot()
-    assert contains_static(keys, 10, 20, 77)
-    assert contains_static(keys, 0, 0, 77)
-    assert not contains_static(keys, 20, 10, 77)
+    assert 10 * 77 + 20 in keys
+    assert 0 in keys
+    assert 20 * 77 + 10 not in keys
+    assert len(keys) == t.size == 2
+
+
+def test_capacity_model():
+    """Capacity and rebuild cost of the open-addressing table, by hand: a
+    rebuild from c to c' slots costs c + c', and every insert call at 3/4
+    load doubles the table first, duplicates included."""
+    t = PairTable(100, capacity=16)
+    assert (t.capacity, t.rehash_cost) == (16, 0)
+    t.reserve(20)  # next_pow2(20) = 32: 16 + 32
+    assert (t.capacity, t.rehash_cost) == (32, 48)
+    t.reserve(8)  # never shrinks
+    assert (t.capacity, t.rehash_cost) == (32, 48)
+    for v in range(24):  # up to 24 / 32 = 3/4 load, no rebuild
+        t.insert(v, 0)
+    assert (t.size, t.capacity, t.rehash_cost) == (24, 32, 48)
+    assert t.insert(0, 0) is False  # a duplicate at 3/4 load: 32 + 64
+    assert (t.size, t.capacity, t.rehash_cost) == (24, 64, 144)
+    for v in range(24, 48):
+        t.insert(v, 0)
+    assert (t.size, t.capacity, t.rehash_cost) == (48, 64, 144)
+    assert t.insert(48, 0) is True  # 64 + 128
+    assert (t.size, t.capacity, t.rehash_cost) == (49, 128, 336)
 
 
 def test_heuristic_capacity_formula():
@@ -102,34 +118,3 @@ def test_property_set_semantics(pairs):
     pv, ps = t.pairs()
     assert set(zip(pv.tolist(), ps.tolist())) == set(pairs)
     assert t.size == len(pairs)
-
-
-class _CountingKeys:
-    """A key array that counts the slots a probe reads."""
-
-    def __init__(self, keys):
-        self.keys, self.reads = keys, 0
-
-    def __len__(self):
-        return len(self.keys)
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return self.keys[i]
-
-
-def test_probe_runs_stay_short_when_n_is_a_power_of_two():
-    """All pairs of three sources at 3/4 load, n = 4096: a probe scans a
-    few slots.  Probing from the hash's low bits would start each
-    source's 4096 pairs in 4 slots and scan hundreds per probe."""
-    n, sources = 4096, (5, 1000, 3001)
-    t = PairTable(n, capacity=3 * n * 4 // 3)
-    for s in sources:
-        for v in range(n):
-            t.insert(v, s)
-    assert t.size * 4 == t.capacity * 3
-    keys = _CountingKeys(t.keys)
-    for s in sources:
-        for v in range(n):
-            assert keys.keys[_probe_index(keys, v * n + s)] == v * n + s
-    assert keys.reads / t.size < 3
