@@ -59,16 +59,12 @@ def ispan_scc(spark, csr: CSR, *, serial_cutoff: int = 256, **engine_kw) -> SCCR
             first = False
             with PhaseTimer(counters, phase):
                 p = _pivot(csr, mask)
-                not_mask = ~mask
-                r = single_reach(
-                    engine, np.asarray([p]), direction="both", tau=1, finished=not_mask
-                )
+                r = single_reach(engine, np.asarray([p]), direction="both", tau=1, finished=~mask)
                 fw, bw = r.fw, r.bw
-                scc = fw.visited & bw.visited & mask
-                scc[p] = True
+                scc = fw.visited & bw.visited
                 labels[scc] = int(np.flatnonzero(scc).max())
-                rest_fw = mask & fw.visited & ~scc
-                rest_bw = mask & bw.visited & ~scc
+                rest_fw = fw.visited & ~scc
+                rest_bw = bw.visited & ~scc
                 rest = mask & ~fw.visited & ~bw.visited
                 for part in (rest_fw, rest_bw, rest):
                     if part.any():

@@ -66,13 +66,11 @@ def multistep_scc(spark, csr: CSR, *, serial_cutoff: int = 256, **engine_kw) -> 
                 deg_prod = np.diff(csr.indptr) * np.diff(csr.transpose().indptr)
                 deg_prod[~active] = -1
                 pivot = int(np.argmax(deg_prod))
-                inactive = ~active
                 r = single_reach(
-                    engine, np.asarray([pivot]), direction="both", tau=1, finished=inactive
+                    engine, np.asarray([pivot]), direction="both", tau=1, finished=~active
                 )
                 fw, bw = r.fw, r.bw
                 scc1 = fw.visited & bw.visited
-                scc1[pivot] = True
                 labels[scc1] = int(np.flatnonzero(scc1).max())
                 active &= ~scc1
 
@@ -118,7 +116,7 @@ def multistep_scc(spark, csr: CSR, *, serial_cutoff: int = 256, **engine_kw) -> 
                     finished=~active,
                     restrict=colors,
                 )
-                found = bwr.visited & active
+                found = bwr.visited
                 labels[found] = colors[found]
                 active &= ~found
         return SCCResult(labels=labels, counters=counters)

@@ -10,11 +10,15 @@ vertices are skipped inside the kernel, as in BGSS's MultiReach.
 
 Two sizing policies (Sec. 4.5):
 
-- ``"heuristic"`` (ours): pre-reserve ``max(0.3 b, 1.5 a)`` slots, where
-  ``a`` = pairs produced by the previous batch and ``b`` = unfinished
-  vertices; overflow-resizes are then rare.
+- ``"heuristic"`` (ours): make each table with ``max(0.3 b, 1.5 a)``
+  slots, where ``a`` = pairs produced by the previous batch and ``b`` =
+  unfinished vertices; overflow-resizes are then rare.
 - ``"exact"`` (GBBS-style): start tiny and grow on demand, paying the
   repeated rehashing the paper's Fig. 9 green bars show.
+
+A table starts with the sources' keys ``s * (n + 1)``; each round's
+distinct keys, which the kernel's snapshot probe has already made new, go
+into it in one :meth:`~repro.core.pairtable.PairTable.insert` call.
 
 ``direction="both"`` runs a batch's forward and backward searches in
 shared rounds, each with its own pair table sized by the same policy and
@@ -70,14 +74,13 @@ def multi_reach(
     sources = np.asarray(sources, dtype=np.int64)
     sources = sources[~finished[sources]]
     dirs = ("fwd", "bwd") if direction == "both" else (direction,)
-    tables = {d: PairTable(n) for d in dirs}
+    unfinished = int(n - finished.sum())
+    cap = heuristic_capacity(prev_pairs_hint, unfinished) if sizing == "heuristic" else 64
+    tables = {d: PairTable(n, cap) for d in dirs}
+    for table in tables.values():
+        table.insert(sources * (n + 1))
     frontier = dict.fromkeys(dirs, {"v": sources, "s": sources})
     rounds = dict.fromkeys(dirs, 0)
-    for table in tables.values():
-        if sizing == "heuristic":
-            table.reserve(heuristic_capacity(prev_pairs_hint, int(n - finished.sum())))
-        for s in sources.tolist():
-            table.insert(s, s)
 
     while live := [d for d in dirs if len(frontier[d]["v"])]:
         queries = [
@@ -98,9 +101,9 @@ def multi_reach(
         for d, out in zip(live, engine.run(queries)):
             rounds[d] += 1
             keys, explored = merge_explored(out["v"] * n + out["s"], out["explored"])
-            vs, ss = keys // n, keys % n  # ascending (v, s): fixes the next round's slicing
-            engine.counters.pair_inserts += sum(map(tables[d].insert, vs.tolist(), ss.tolist()))
-            frontier[d] = {"v": vs[~explored], "s": ss[~explored]}
+            engine.counters.pair_inserts += tables[d].insert(keys)
+            keys = keys[~explored]  # ascending (v, s): fixes the next round's slicing
+            frontier[d] = {"v": keys // n, "s": keys % n}
 
     res = {}
     for d, table in tables.items():

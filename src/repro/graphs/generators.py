@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def _dedupe(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def dedupe(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct non-loop edges, sorted by (src, dst)."""
     keep = src != dst
     src, dst = src[keep], dst[keep]
     n_max = int(max(src.max(initial=0), dst.max(initial=0))) + 1
@@ -30,16 +31,9 @@ def _dedupe(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # -- social: RMAT ---------------------------------------------------------
-def rmat(
-    log2_n: int,
-    avg_deg: int,
-    *,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+def rmat(log2_n: int, avg_deg: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Directed RMAT. Power-law-ish degrees, low diameter."""
+    a, b, c = 0.57, 0.19, 0.19  # quadrant probabilities; d = 0.05
     n = 1 << log2_n
     m = n * avg_deg
     g = np.random.default_rng(seed)
@@ -57,7 +51,7 @@ def rmat(
         dst = (dst << 1) | dst_bit
     # Permute ids so the implicit RMAT hub-ordering is not id order.
     perm = g.permutation(n).astype(np.int64)
-    return _dedupe(perm[src], perm[dst])
+    return dedupe(perm[src], perm[dst])
 
 
 # -- web: bow-tie ---------------------------------------------------------
@@ -88,7 +82,7 @@ def web(log2_n: int, avg_deg: int = 8, *, seed: int = 0) -> tuple[np.ndarray, np
     ch_d = out_ids[1:][chain]
     src = np.concatenate([cs, i_src, o_src, ch_s])
     dst = np.concatenate([cd, i_dst, o_dst, ch_d])
-    return _dedupe(src, dst)
+    return dedupe(src, dst)
 
 
 # -- k-NN -----------------------------------------------------------------
@@ -108,14 +102,14 @@ def _knn_edges(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         row_d = np.take_along_axis(d2, nn, axis=1)
         nn = np.take_along_axis(nn, np.argsort(row_d, axis=1), axis=1)
         dst[lo * k : hi * k] = nn.reshape(-1)
-    return _dedupe(src, dst)
+    return dedupe(src, dst)
 
 
-def knn_gmm(n: int, k: int, *, n_clusters: int = 16, seed: int = 0):
-    """Household-analogue: k-NN of a Gaussian-mixture point cloud."""
+def knn_gmm(n: int, k: int, *, seed: int = 0):
+    """Household-analogue: k-NN of a 16-cluster Gaussian-mixture point cloud."""
     g = np.random.default_rng(seed)
-    centers = g.random((n_clusters, 2)) * 10
-    who = g.integers(0, n_clusters, n)
+    centers = g.random((16, 2)) * 10
+    who = g.integers(0, len(centers), n)
     pts = centers[who] + g.normal(0, 0.35, (n, 2))
     order = np.lexsort((pts[:, 1], np.floor(pts[:, 0] * 2)))
     return _knn_edges(pts[order], k)
@@ -159,7 +153,7 @@ def lattice_oriented(rows: int, cols: int, *, seed: int = 0):
     flip = g.random(len(u)) < 0.5
     src = np.where(flip, v, u)
     dst = np.where(flip, u, v)
-    return _dedupe(src, dst)
+    return dedupe(src, dst)
 
 
 def lattice_sparse(rows: int, cols: int, *, seed: int = 0):
@@ -169,7 +163,7 @@ def lattice_sparse(rows: int, cols: int, *, seed: int = 0):
     r = g.random(len(u))
     src = np.concatenate([u[r < 0.3], v[(r >= 0.3) & (r < 0.6)]])
     dst = np.concatenate([v[r < 0.3], u[(r >= 0.3) & (r < 0.6)]])
-    return _dedupe(src, dst)
+    return dedupe(src, dst)
 
 
 # -- road (undirected; Table 3) ------------------------------------------
@@ -187,4 +181,4 @@ def road(rows: int, cols: int, *, seed: int = 0):
     hv = g.integers(0, rows * cols, n_hw)
     src = np.concatenate([u, v, hu, hv]).astype(np.int64)
     dst = np.concatenate([v, u, hv, hu]).astype(np.int64)
-    return _dedupe(src, dst)
+    return dedupe(src, dst)

@@ -41,18 +41,14 @@ class GraphSpec:
         return csrmod.from_arrays(self.n, self.src, self.dst)
 
 
-def _sym(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s = np.concatenate([src, dst])
-    d = np.concatenate([dst, src])
-    keys = np.unique(s * n + d)
-    return (keys // n).astype(np.int64), (keys % n).astype(np.int64)
+SEED = 7  # each suite graph's generator runs at SEED + its own offset
 
 
 def _scaled(x: int, scale: float, lo: int = 64) -> int:
     return max(lo, int(round(x * scale)))
 
 
-def table2_suite(scale: float = 1.0, seed: int = 7) -> list[GraphSpec]:
+def table2_suite(scale: float = 1.0) -> list[GraphSpec]:
     """Directed graphs for the SCC table, one row per paper analogue.
 
     Default sizes (n ~ 1-4 K) were chosen so that, with every round
@@ -67,54 +63,54 @@ def table2_suite(scale: float = 1.0, seed: int = 7) -> list[GraphSpec]:
     def add(name, family, n, sd):
         specs.append(GraphSpec(name, family, n, sd[0], sd[1]))
 
-    add("SOC-LJ'", "social", 1 << lg, gen.rmat(lg, 8, seed=seed + 1))
-    add("SOC-TW'", "social", 1 << lg, gen.rmat(lg, 16, seed=seed + 2))
-    add("WEB-SD'", "web", 1 << lg, gen.web(lg, 8, seed=seed + 3))
-    add("WEB-CW'", "web", 1 << lg_big, gen.web(lg_big, 8, seed=seed + 4))
+    add("SOC-LJ'", "social", 1 << lg, gen.rmat(lg, 8, seed=SEED + 1))
+    add("SOC-TW'", "social", 1 << lg, gen.rmat(lg, 16, seed=SEED + 2))
+    add("WEB-SD'", "web", 1 << lg, gen.web(lg, 8, seed=SEED + 3))
+    add("WEB-CW'", "web", 1 << lg_big, gen.web(lg_big, 8, seed=SEED + 4))
     n_knn = _scaled(2048, scale)
     n_ch = _scaled(1024, scale)
-    add("KNN-HH5'", "knn", n_knn, gen.knn_gmm(n_knn, 5, seed=seed + 5))
-    add("KNN-CH5'", "knn", n_ch, gen.knn_curve(n_ch, 5, seed=seed + 6))
-    add("KNN-GL2'", "knn", n_knn, gen.knn_trajectory(n_knn, 2, seed=seed + 7))
-    add("KNN-GL5'", "knn", n_knn, gen.knn_trajectory(n_knn, 5, seed=seed + 8))
+    add("KNN-HH5'", "knn", n_knn, gen.knn_gmm(n_knn, 5, seed=SEED + 5))
+    add("KNN-CH5'", "knn", n_ch, gen.knn_curve(n_ch, 5, seed=SEED + 6))
+    add("KNN-GL2'", "knn", n_knn, gen.knn_trajectory(n_knn, 2, seed=SEED + 7))
+    add("KNN-GL5'", "knn", n_knn, gen.knn_trajectory(n_knn, 5, seed=SEED + 8))
     r = _scaled(48, np.sqrt(scale), lo=8)
     rc = _scaled(192, np.sqrt(scale), lo=32)
     rr = _scaled(12, np.sqrt(scale), lo=4)
-    add("LAT-SQR'", "lattice", r * r, gen.lattice_oriented(r, r, seed=seed + 9))
-    add("LAT-REC'", "lattice", rr * rc, gen.lattice_oriented(rr, rc, seed=seed + 10))
-    add("LAT-SQRp'", "lattice", r * r, gen.lattice_sparse(r, r, seed=seed + 11))
-    add("LAT-RECp'", "lattice", rr * rc, gen.lattice_sparse(rr, rc, seed=seed + 12))
+    add("LAT-SQR'", "lattice", r * r, gen.lattice_oriented(r, r, seed=SEED + 9))
+    add("LAT-REC'", "lattice", rr * rc, gen.lattice_oriented(rr, rc, seed=SEED + 10))
+    add("LAT-SQRp'", "lattice", r * r, gen.lattice_sparse(r, r, seed=SEED + 11))
+    add("LAT-RECp'", "lattice", rr * rc, gen.lattice_sparse(rr, rc, seed=SEED + 12))
     return specs
 
 
-def tau_suite(scale: float = 1.0, seed: int = 7) -> list[GraphSpec]:
+def tau_suite(scale: float = 1.0) -> list[GraphSpec]:
     """The τ study's graphs: a social, a web, a kNN and a lattice one."""
     picks = ["SOC-LJ'", "WEB-SD'", "KNN-GL5'", "LAT-SQR'"]
-    return [g for g in table2_suite(scale, seed) if g.name in picks]
+    return [g for g in table2_suite(scale) if g.name in picks]
 
 
-def table3_suite(scale: float = 1.0, seed: int = 7) -> list[GraphSpec]:
+def table3_suite(scale: float = 1.0) -> list[GraphSpec]:
     """Undirected graphs for connectivity: symmetrized Table-2 analogues
     plus two road networks."""
-    base = {g.name: g for g in table2_suite(scale, seed)}
+    base = {g.name: g for g in table2_suite(scale)}
     picks = ["SOC-LJ'", "WEB-SD'", "KNN-HH5'", "KNN-GL5'", "LAT-SQR'", "LAT-SQRp'"]
     specs = []
     for name in picks:
         g = base[name]
-        s, d = _sym(g.n, g.src, g.dst)
+        s, d = gen.dedupe(np.concatenate([g.src, g.dst]), np.concatenate([g.dst, g.src]))
         specs.append(GraphSpec(name + "-sym", g.family, g.n, s, d))
     r = _scaled(64, np.sqrt(scale), lo=8)
     specs.append(
-        GraphSpec("ROAD-GE'", "road", r * r, *gen.road(r, r, seed=seed + 20))
+        GraphSpec("ROAD-GE'", "road", r * r, *gen.road(r, r, seed=SEED + 20))
     )
     specs.append(
-        GraphSpec("ROAD-USA'", "road", r * 2 * r, *gen.road(r, 2 * r, seed=seed + 21))
+        GraphSpec("ROAD-USA'", "road", r * 2 * r, *gen.road(r, 2 * r, seed=SEED + 21))
     )
     return specs
 
 
-def lelists_suite(scale: float = 1.0, seed: int = 7) -> list[GraphSpec]:
+def lelists_suite(scale: float = 1.0) -> list[GraphSpec]:
     """Smaller undirected subset for LE-lists (paper Tab. 3 right half)."""
-    suite = {g.name: g for g in table3_suite(scale * 0.5, seed)}
+    suite = {g.name: g for g in table3_suite(scale * 0.5)}
     picks = ["SOC-LJ'-sym", "KNN-HH5'-sym", "KNN-GL5'-sym", "LAT-SQR'-sym", "ROAD-GE'"]
     return [suite[p] for p in picks]

@@ -11,10 +11,10 @@ That is multi-reachability at tau = 1, so each level is one
 ``multi_reach`` round (:func:`level_params`): the vertices the next level
 cannot improve are finished, and one label means no cross edges.  A
 round's pairs merge as in :func:`repro.core.multireach.multi_reach`:
-sorted distinct keys, one table insert each.  At the end of a batch, one
-walk over its (u, s, d) triples, sorted by vertex and then source
-priority, keeps a triple when d beats delta(u), lowers delta(u) to d and
-appends (s, d) to u's LE-list.
+sorted distinct keys, all new, in one table insert.  At the end of a
+batch, one walk over its (u, s, d) triples, sorted by vertex and then
+source priority, keeps a triple when d beats delta(u), lowers delta(u) to
+d and appends (s, d) to u's LE-list.
 
 Variants: ``"parlay"`` = the ParlayLib baseline (edge-revisit two-pass
 frontier); ``"ours"`` = single-pass frontier, the hash bag's effect.  This
@@ -90,11 +90,9 @@ def le_lists(
 
         prev_pairs = 0
         for batch in batches(order, 2.0):  # Alg. 5 line 2
-            table = PairTable(n)
-            table.reserve(heuristic_capacity(prev_pairs, n))
+            table = PairTable(n, heuristic_capacity(prev_pairs, n))
             f_v = f_s = batch[delta[batch] > 0]
-            for s in f_v.tolist():
-                table.insert(s, s)
+            table.insert(f_v * (n + 1))
             # This batch's triples (u, s, d): source s reaches u at distance d.
             triples = [(f_v, f_s, np.zeros_like(f_v))]
             d = 0
@@ -107,8 +105,8 @@ def le_lists(
                     )
                     d += 1
                     keys = np.unique(out["v"] * n + out["s"])
+                    counters.pair_inserts += table.insert(keys)
                     f_v, f_s = keys // n, keys % n
-                    counters.pair_inserts += sum(map(table.insert, f_v.tolist(), f_s.tolist()))
                     triples.append((f_v, f_s, np.full_like(f_v, d)))
             with PhaseTimer(counters, "collect"):
                 # Alg. 5 lines 5-7, for all touched vertices in one walk.

@@ -600,8 +600,7 @@ def _round_case(name: str):
         return c, frontier_pdf(np.flatnonzero(~visited)), params
     if name == "multi_reach":
         table = PairTable(n)
-        for v in vs.tolist():
-            table.insert(v, v % 5)
+        table.insert(vs * n + vs % 5)
         params = {
             "direction": "fwd",
             "tau": 8,

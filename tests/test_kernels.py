@@ -61,13 +61,10 @@ def _pair_frontier(rng, n: int) -> tuple[dict, PairTable]:
     makes them, and a pair table holding them and a few more pairs."""
     m = max(1, n // 3)
     keys = np.unique(rng.integers(0, n, m) * n + rng.integers(0, n, m))
-    vs, ss = keys // n, keys % n
+    more = rng.integers(0, n, (n // 8, 2))
     table = PairTable(n)
-    for v, s in zip(vs.tolist(), ss.tolist()):
-        table.insert(v, s)
-    for v, s in rng.integers(0, n, (n // 8, 2)).tolist():
-        table.insert(v, s)
-    return {"v": vs, "s": ss}, table
+    table.insert(np.union1d(keys, more[:, 0] * n + more[:, 1]))
+    return {"v": keys // n, "s": keys % n}, table
 
 
 def _cases(name: str, c, rng):

@@ -81,27 +81,27 @@ SCC_ZOO = {
     "two_cliques_bridge": ((6, 118, 6, 0, 2), (6, 93, 6, 0, 2), (6, 93, 6, 0, 2), (5, 93, 6, 0, 2)),
     "dag": ((6, 29, 3, 0, 7), (6, 19, 3, 0, 7), (6, 19, 3, 0, 7), (5, 19, 3, 0, 7)),
     "star_out": ((0, 0, 0, 0, 9), (0, 0, 0, 0, 9), (0, 0, 0, 0, 9), (0, 0, 0, 0, 9)),
-    "rand_sparse": ((23, 624, 8, 0, 42), (23, 555, 8, 384, 42), (18, 361, 8, 384, 42), (14, 361, 8, 384, 42)),
+    "rand_sparse": ((23, 624, 8, 0, 42), (23, 555, 8, 0, 42), (18, 361, 8, 0, 42), (14, 361, 8, 0, 42)),
     "rand_dense": ((4, 264, 0, 0, 1), (4, 243, 0, 0, 1), (1, 800, 0, 0, 1), (1, 800, 0, 0, 1)),
-    "rmat": ((10, 546, 0, 0, 131), (10, 462, 0, 1152, 131), (6, 1095, 0, 1152, 131), (6, 1095, 0, 1152, 131)),
-    "web": ((29, 1899, 36, 0, 165), (29, 1616, 36, 1152, 165), (27, 1430, 36, 1152, 165), (12, 1430, 36, 1152, 165)),
-    "knn": ((92, 4016, 573, 960, 33), (92, 2008, 573, 4864, 33), (83, 2008, 573, 4864, 33), (11, 2008, 573, 4864, 33)),
-    "lattice": ((37, 3502, 16, 0, 35), (37, 3349, 16, 1152, 35), (18, 554, 16, 1152, 35), (9, 554, 16, 1152, 35)),
-    "lattice_sparse": ((41, 726, 109, 0, 141), (41, 363, 109, 1536, 141), (39, 363, 109, 1536, 141), (10, 363, 109, 1536, 141)),
+    "rmat": ((10, 546, 0, 0, 131), (10, 462, 0, 0, 131), (6, 1095, 0, 0, 131), (6, 1095, 0, 0, 131)),
+    "web": ((29, 1899, 36, 0, 165), (29, 1616, 36, 0, 165), (27, 1430, 36, 0, 165), (12, 1430, 36, 0, 165)),
+    "knn": ((92, 4016, 573, 960, 33), (92, 2008, 573, 384, 33), (83, 2008, 573, 384, 33), (11, 2008, 573, 384, 33)),
+    "lattice": ((37, 3502, 16, 0, 35), (37, 3349, 16, 0, 35), (18, 554, 16, 0, 35), (9, 554, 16, 0, 35)),
+    "lattice_sparse": ((41, 726, 109, 0, 141), (41, 363, 109, 0, 141), (39, 363, 109, 0, 141), (10, 363, 109, 0, 141)),
 }
 SCC_TABLE2 = {
     "SOC-LJ'": ((5, 1625, 0, 0, 85), (5, 1599, 0, 0, 85), (4, 1099, 0, 0, 85), (4, 1099, 0, 0, 85)),
     "SOC-TW'": ((5, 1508, 0, 0, 60), (5, 1405, 0, 0, 60), (4, 1196, 0, 0, 60), (4, 1196, 0, 0, 60)),
-    "WEB-SD'": ((39, 1777, 63, 0, 155), (39, 1445, 63, 1536, 155), (37, 1481, 63, 1536, 155), (13, 1481, 63, 1536, 155)),
-    "WEB-CW'": ((42, 25073, 1043, 7104, 315), (42, 12881, 1043, 13440, 315), (40, 12931, 1043, 13440, 315), (17, 13023, 1043, 13440, 315)),
-    "KNN-HH5'": ((105, 11732, 991, 2880, 31), (105, 5866, 991, 8064, 31), (97, 5866, 991, 8064, 31), (13, 5871, 991, 8064, 31)),
-    "KNN-CH5'": ((80, 7430, 610, 1536, 18), (80, 3715, 610, 5120, 18), (62, 3715, 610, 5120, 18), (9, 3715, 610, 5120, 18)),
-    "KNN-GL2'": ((86, 5484, 998, 3840, 204), (86, 2742, 998, 10880, 204), (82, 2742, 998, 10880, 204), (14, 2742, 998, 10880, 204)),
-    "KNN-GL5'": ((50, 20522, 66, 0, 7), (50, 16739, 66, 4224, 7), (21, 7132, 66, 4224, 7), (10, 7132, 66, 4224, 7)),
-    "LAT-SQR'": ((97, 5425, 154, 0, 199), (97, 3059, 154, 6400, 199), (45, 2406, 154, 6400, 199), (14, 2406, 154, 6400, 199)),
-    "LAT-REC'": ((172, 6678, 1324, 5568, 259), (172, 3339, 1324, 11904, 259), (161, 3339, 1324, 11904, 259), (14, 3339, 1324, 11904, 259)),
-    "LAT-SQRp'": ((91, 3318, 593, 3840, 539), (91, 1659, 593, 8192, 539), (86, 1659, 593, 8192, 539), (13, 1659, 593, 8192, 539)),
-    "LAT-RECp'": ((71, 2796, 447, 1920, 550), (71, 1398, 447, 7680, 550), (69, 1398, 447, 7680, 550), (13, 1398, 447, 7680, 550)),
+    "WEB-SD'": ((39, 1777, 63, 0, 155), (39, 1445, 63, 0, 155), (37, 1481, 63, 0, 155), (13, 1481, 63, 0, 155)),
+    "WEB-CW'": ((42, 25073, 1043, 7104, 315), (42, 12881, 1043, 5376, 315), (40, 12931, 1043, 5376, 315), (17, 13023, 1043, 5376, 315)),
+    "KNN-HH5'": ((105, 11732, 991, 2880, 31), (105, 5866, 991, 0, 31), (97, 5866, 991, 0, 31), (13, 5871, 991, 0, 31)),
+    "KNN-CH5'": ((80, 7430, 610, 1536, 18), (80, 3715, 610, 0, 18), (62, 3715, 610, 0, 18), (9, 3715, 610, 0, 18)),
+    "KNN-GL2'": ((86, 5484, 998, 3840, 204), (86, 2742, 998, 0, 204), (82, 2742, 998, 0, 204), (14, 2742, 998, 0, 204)),
+    "KNN-GL5'": ((50, 20522, 66, 0, 7), (50, 16739, 66, 0, 7), (21, 7132, 66, 0, 7), (10, 7132, 66, 0, 7)),
+    "LAT-SQR'": ((97, 5425, 154, 0, 199), (97, 3059, 154, 0, 199), (45, 2406, 154, 0, 199), (14, 2406, 154, 0, 199)),
+    "LAT-REC'": ((172, 6678, 1324, 5568, 259), (172, 3339, 1324, 0, 259), (161, 3339, 1324, 0, 259), (14, 3339, 1324, 0, 259)),
+    "LAT-SQRp'": ((91, 3318, 593, 3840, 539), (91, 1659, 593, 0, 539), (86, 1659, 593, 0, 539), (13, 1659, 593, 0, 539)),
+    "LAT-RECp'": ((71, 2796, 447, 1920, 550), (71, 1398, 447, 0, 550), (69, 1398, 447, 0, 550), (13, 1398, 447, 0, 550)),
 }
 # ldd_uf_jtb, CC_VARIANTS order (dhs21, ours).
 CC_ZOO_SYM = {
@@ -143,13 +143,13 @@ LE_ZOO_SYM = {
     "two_cliques_bridge": ((8, 116, 10, 0, 18), (8, 58, 10, 0, 18)),
     "dag": ((7, 56, 8, 0, 15), (7, 28, 8, 0, 15)),
     "star_out": ((7, 76, 15, 0, 24), (7, 38, 15, 0, 24)),
-    "rand_sparse": ((29, 1074, 152, 768, 187), (29, 537, 152, 768, 187)),
-    "rand_dense": ((10, 3352, 68, 192, 100), (10, 1676, 68, 192, 100)),
-    "rmat": ((29, 11540, 650, 5952, 733), (29, 5770, 650, 5952, 733)),
-    "web": ((39, 12608, 1064, 6848, 1034), (39, 6304, 1064, 6848, 1034)),
-    "knn": ((81, 6894, 710, 3328, 745), (81, 3447, 710, 3328, 745)),
-    "lattice": ((46, 6376, 653, 3328, 652), (46, 3188, 653, 3328, 652)),
-    "lattice_sparse": ((68, 3826, 650, 3328, 625), (68, 1913, 650, 3328, 625)),
+    "rand_sparse": ((29, 1074, 152, 192, 187), (29, 537, 152, 192, 187)),
+    "rand_dense": ((10, 3352, 68, 0, 100), (10, 1676, 68, 0, 100)),
+    "rmat": ((29, 11540, 650, 2688, 733), (29, 5770, 650, 2688, 733)),
+    "web": ((39, 12608, 1064, 2304, 1034), (39, 6304, 1064, 2304, 1034)),
+    "knn": ((81, 6894, 710, 384, 745), (81, 3447, 710, 384, 745)),
+    "lattice": ((46, 6376, 653, 576, 652), (46, 3188, 653, 576, 652)),
+    "lattice_sparse": ((68, 3826, 650, 576, 625), (68, 1913, 650, 576, 625)),
 }
 # (multistep_scc, ispan_scc), serial_cutoff=0 so every piece runs on the engine.
 BASELINES_ZOO = {
